@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "exec/thread_pool.hpp"
+#include "fault/context.hpp"
 #include "guard/breaker.hpp"
 #include "guard/chaos.hpp"
 #include "guard/guard.hpp"
@@ -170,41 +171,50 @@ TEST(OverloadGuard, RetryTokensExhaustThenRefillFromAdmissions) {
 // ------------------------------------------- deadline-propagated cancel ---
 
 TEST(OverloadGuard, DeadlineMissCancelsChargedSiblingsAndRestoresServers) {
-  sim::ClusterConfig config;
-  config.num_hservers = 2;
-  config.num_sservers = 1;
-  pfs::HybridPfs pfs(config);
-  auto file = pfs.create_file("deadline");
-  ASSERT_TRUE(file.is_ok());
+  // Run once on the plain guarded path and once with an (empty) fault
+  // context attached, whose degraded-mode dispatch enforces the same
+  // deadline through its own retry loop.
+  for (const bool with_fault : {false, true}) {
+    SCOPED_TRACE(with_fault ? "fault context attached" : "no fault context");
+    sim::ClusterConfig config;
+    config.num_hservers = 2;
+    config.num_sservers = 1;
+    pfs::HybridPfs pfs(config);
+    auto file = pfs.create_file("deadline");
+    ASSERT_TRUE(file.is_ok());
 
-  OverloadGuard guard(pfs.num_servers());
-  pfs.set_guard(&guard);
-  // A deadline no multi-server write can meet: the first sub-request's
-  // completion already crosses it.
-  pfs.set_active_deadline(1e-9);
+    fault::FaultInjector injector;
+    fault::FaultContext fault(injector);
+    if (with_fault) pfs.set_fault_context(&fault);
+    OverloadGuard guard(pfs.num_servers());
+    pfs.set_guard(&guard);
+    // A deadline no multi-server write can meet: the first sub-request's
+    // completion already crosses it.
+    pfs.set_active_deadline(1e-9);
 
-  std::vector<std::uint8_t> data(256 * 1024, 0xCD);
-  const auto before_table = pfs.stats_table();
-  auto io = pfs.write(*file, 0, data.data(), data.size(), 0.0);
-  EXPECT_FALSE(io.is_ok());
+    std::vector<std::uint8_t> data(256 * 1024, 0xCD);
+    const auto before_table = pfs.stats_table();
+    auto io = pfs.write(*file, 0, data.data(), data.size(), 0.0);
+    EXPECT_FALSE(io.is_ok());
 
-  const GuardMetrics m = guard.metrics();
-  EXPECT_EQ(m.deadline_misses, 1u);
-  // The charged sub-requests were all rewound LIFO — nothing wasted, every
-  // byte rescued, and the per-server tables read as if nothing happened.
-  EXPECT_GE(m.siblings_cancelled, 1u);
-  EXPECT_EQ(m.siblings_wasted, 0u);
-  EXPECT_GT(m.bytes_rescued, 0u);
-  EXPECT_EQ(m.bytes_wasted, 0u);
-  EXPECT_EQ(pfs.stats_table(), before_table);
-  for (std::size_t s = 0; s < pfs.num_servers(); ++s) {
-    EXPECT_EQ(pfs.server_stats(s).sub_requests, 0u);
-    EXPECT_EQ(pfs.server_stats(s).bytes_wasted, 0u);
+    const GuardMetrics m = guard.metrics();
+    EXPECT_EQ(m.deadline_misses, 1u);
+    // The charged sub-requests were all rewound LIFO — nothing wasted, every
+    // byte rescued, and the per-server tables read as if nothing happened.
+    EXPECT_GE(m.siblings_cancelled, 1u);
+    EXPECT_EQ(m.siblings_wasted, 0u);
+    EXPECT_GT(m.bytes_rescued, 0u);
+    EXPECT_EQ(m.bytes_wasted, 0u);
+    EXPECT_EQ(pfs.stats_table(), before_table);
+    for (std::size_t s = 0; s < pfs.num_servers(); ++s) {
+      EXPECT_EQ(pfs.server_stats(s).sub_requests, 0u);
+      EXPECT_EQ(pfs.server_stats(s).bytes_wasted, 0u);
+    }
+
+    // With the deadline lifted the same request succeeds untouched.
+    pfs.set_active_deadline(std::numeric_limits<double>::infinity());
+    EXPECT_TRUE(pfs.write(*file, 0, data.data(), data.size(), 1.0).is_ok());
   }
-
-  // With the deadline lifted the same request succeeds untouched.
-  pfs.set_active_deadline(std::numeric_limits<double>::infinity());
-  EXPECT_TRUE(pfs.write(*file, 0, data.data(), data.size(), 1.0).is_ok());
 }
 
 TEST(StatsTable, ReportsWastedBytesColumn) {
