@@ -119,7 +119,7 @@ class CarlScheme final : public LayoutScheme {
   /// Seeds a region file with the original bytes (byte-storing mode only).
   static common::Status copy_region(pfs::HybridPfs& pfs, common::Offset start,
                                     common::ByteCount length, common::FileId file) {
-    if (pfs.num_servers() > 0 && !pfs.data_server(0).stores_data()) {
+    if (!pfs.stores_data()) {
       return common::Status::ok();
     }
     constexpr common::ByteCount kChunk = 8 * 1024 * 1024;

@@ -107,7 +107,7 @@ class HarlScheme final : public LayoutScheme {
   /// start+length) so integrity checks see reordering-free equivalence.
   static common::Status populate_region(pfs::HybridPfs& pfs, common::FileId file,
                                         common::Offset start, common::ByteCount length) {
-    if (!pfs.data_server(0).stores_data()) {
+    if (!pfs.stores_data()) {
       pfs.mds().extend(file, length);
       return common::Status::ok();
     }

@@ -7,7 +7,7 @@ namespace mha::layouts {
 common::Status populate_file(pfs::HybridPfs& pfs, common::FileId file,
                              common::ByteCount length, common::ByteCount chunk) {
   if (chunk == 0) return common::Status::invalid_argument("populate: zero chunk");
-  if (pfs.num_servers() > 0 && !pfs.data_server(0).stores_data()) {
+  if (!pfs.stores_data()) {
     // Timing-only PFS: population would be discarded anyway; just record the
     // logical size (population happens on an off-line timeline, so skipping
     // it does not change any measurement).

@@ -24,6 +24,9 @@ HybridPfs::HybridPfs(const sim::ClusterConfig& config, PfsOptions options)
   per_server_.resize(servers_.size(), 0);
 }
 
+HybridPfs::HybridPfs(const sim::ClusterConfig& config, std::string rst_path)
+    : HybridPfs(config, PfsOptions{std::move(rst_path), true}) {}
+
 void HybridPfs::set_fault_context(fault::FaultContext* fault) {
   fault_ = fault;
   const sim::FaultHook* hook = fault != nullptr ? &fault->injector() : nullptr;
@@ -33,10 +36,10 @@ void HybridPfs::set_fault_context(fault::FaultContext* fault) {
 }
 
 void HybridPfs::charge_sub(common::OpType op, std::size_t server, common::ByteCount bytes,
-                           common::Seconds t, IoResult& result) const {
+                           common::Seconds t, common::JobId job, IoResult& result) {
   if (scheduler_ != nullptr) {
     const sched::DispatchResult out =
-        scheduler_->dispatch(row_, {sim::SubRequest{server, op, bytes, active_job_}}, t);
+        scheduler_->dispatch(row_, {sim::SubRequest{server, op, bytes, job}}, t);
     result.completion = std::max(result.completion, out.completion);
     result.sub_requests += out.sub_requests;
     ++result.servers_touched;
@@ -45,14 +48,14 @@ void HybridPfs::charge_sub(common::OpType op, std::size_t server, common::ByteCo
     }
     return;
   }
-  const sim::Charge c = row_.server(server).charge(op, bytes, t, active_job_);
+  const sim::Charge c = row_.server(server).charge(op, bytes, t, job);
   receipts_.push_back(SubCharge{server, c});
   result.completion = std::max(result.completion, c.completion);
   ++result.sub_requests;
   ++result.servers_touched;
 }
 
-void HybridPfs::rewind_receipts() const {
+void HybridPfs::rewind_receipts() {
   for (std::size_t i = receipts_.size(); i-- > 0;) {
     const SubCharge& r = receipts_[i];
     if (r.charge.bytes == 0) continue;
@@ -89,66 +92,6 @@ void HybridPfs::wipe_server(std::size_t server) {
   }
 }
 
-common::Status HybridPfs::failover_read_sub(common::FileId file, const SubExtent& sub,
-                                            std::uint8_t* out) const {
-  const common::FileId replica = replica_of(file);
-  if (replica == common::kInvalidFileId) {
-    ++failover_stats_.unavailable;
-    return common::Status::unavailable(
-        "server " + std::to_string(sub.server) + " is dead and file " +
-        std::to_string(file) + " has no replica for [" +
-        std::to_string(sub.logical_offset) + ", +" + std::to_string(sub.length) + ")");
-  }
-  // The replica shares the file's logical byte space, so this sub-extent's
-  // bytes live at the same logical range of the replica; map them through
-  // the replica's own layout and serve from there, charging the replica's
-  // servers under the active job (exact attribution).
-  const StripeLayout& layout = mds_.info(replica).layout;
-  layout.map_extent(sub.logical_offset, sub.length, failover_extents_);
-  for (const SubExtent& rsub : failover_extents_) {
-    if (membership_->dead(rsub.server)) {
-      ++failover_stats_.unavailable;
-      return common::Status::unavailable(
-          "file " + std::to_string(file) + " lost both copies (replica server " +
-          std::to_string(rsub.server) + " is dead too)");
-    }
-    common::Status verified = servers_[rsub.server]->load_verified(
-        replica, rsub.physical_offset, out + (rsub.logical_offset - sub.logical_offset),
-        rsub.length);
-    if (!verified.is_ok()) {
-      if (fault_ != nullptr) ++fault_->metrics().corruption_detected;
-      return common::Status::corruption("server " + std::to_string(rsub.server) +
-                                        " file " + std::to_string(replica) + ": " +
-                                        verified.message());
-    }
-    per_server_[rsub.server] += rsub.length;
-    ++failover_stats_.failover_reads;
-    failover_stats_.failover_bytes += rsub.length;
-  }
-  return common::Status::ok();
-}
-
-common::Status HybridPfs::mirror_write_sub(common::FileId replica, const SubExtent& sub,
-                                           const std::uint8_t* data) {
-  const StripeLayout& layout = mds_.info(replica).layout;
-  layout.map_extent(sub.logical_offset, sub.length, failover_extents_);
-  for (const SubExtent& rsub : failover_extents_) {
-    if (membership_ != nullptr && membership_->dead(rsub.server)) {
-      ++failover_stats_.unavailable;
-      return common::Status::unavailable("replica server " + std::to_string(rsub.server) +
-                                         " is dead");
-    }
-    servers_[rsub.server]->store(replica, rsub.physical_offset,
-                                 data + (rsub.logical_offset - sub.logical_offset),
-                                 rsub.length);
-    per_server_[rsub.server] += rsub.length;
-    ++failover_stats_.mirrored_writes;
-    failover_stats_.mirror_bytes += rsub.length;
-  }
-  mds_.extend(replica, sub.logical_offset + sub.length);
-  return common::Status::ok();
-}
-
 std::size_t HybridPfs::pick_fallback_sserver(common::Seconds t) const {
   std::size_t best = servers_.size();
   common::Seconds best_backlog = 0.0;
@@ -165,28 +108,25 @@ std::size_t HybridPfs::pick_fallback_sserver(common::Seconds t) const {
   return best;
 }
 
-common::Status HybridPfs::admit_request(const std::vector<common::ByteCount>& per_server,
-                                        common::Seconds arrival) const {
+common::Status HybridPfs::admit_request(common::JobId job, common::Seconds arrival) {
   if (guard_ == nullptr) return common::Status::ok();
   common::Seconds max_backlog = 0.0;
-  for (std::size_t i = 0; i < per_server.size(); ++i) {
-    if (per_server[i] == 0) continue;
+  for (std::size_t i = 0; i < per_server_.size(); ++i) {
+    if (per_server_[i] == 0) continue;
     const common::Seconds b = row_.server(i).backlog(arrival);
     guard_->observe_server(i, arrival, b);
     max_backlog = std::max(max_backlog, b);
   }
-  if (!guard_->admit(active_job_, max_backlog)) {
+  if (!guard_->admit(job, max_backlog)) {
     return common::Status::overloaded(
-        "admission gate shed " +
-        std::string(guard::tier_name(guard_->tier_of(active_job_))) +
+        "admission gate shed " + std::string(guard::tier_name(guard_->tier_of(job))) +
         "-tier request (backlog " + std::to_string(max_backlog) + "s)");
   }
   return common::Status::ok();
 }
 
-common::Status HybridPfs::dispatch_degraded(common::FileId file, common::OpType op,
-                                            const std::vector<common::ByteCount>& per_server,
-                                            common::Seconds arrival, IoResult& result) const {
+common::Status HybridPfs::dispatch_degraded(const BatchRequest& r, common::OpType op,
+                                            IoResult& result) {
   fault::FaultInjector& injector = fault_->injector();
   fault::FaultMetrics& metrics = fault_->metrics();
   const fault::RetryPolicy& policy = fault_->retry();
@@ -195,33 +135,32 @@ common::Status HybridPfs::dispatch_degraded(common::FileId file, common::OpType 
   // entry whose target is back online.  The replay is catch-up background
   // work — it loads the server queue (and so delays this request through
   // contention) but does not gate this request's completion directly.
-  for (const fault::RedoEntry& entry : fault_->redo().take_replayable(injector, arrival)) {
-    row_.server(entry.server).submit(common::OpType::kWrite, entry.bytes, arrival);
+  for (const fault::RedoEntry& entry : fault_->redo().take_replayable(injector, r.arrival)) {
+    row_.server(entry.server).submit(common::OpType::kWrite, entry.bytes, r.arrival);
     ++metrics.redo_replayed;
     metrics.redo_bytes += entry.bytes;
   }
   for (std::size_t i = 0; i < servers_.size(); ++i) {
-    fault_->note_server_state(i, injector.offline(i, arrival));
+    fault_->note_server_state(i, injector.offline(i, r.arrival));
   }
 
   // Admission gate: observe post-redo backlogs and shed before any server
   // is charged (the fast-fail contract of kOverloaded).
-  MHA_RETURN_IF_ERROR(admit_request(per_server, arrival));
+  MHA_RETURN_IF_ERROR(admit_request(r.job, r.arrival));
 
   // The retry/offline-wait budget is additionally capped by the request's
   // end-to-end deadline: waiting past the instant the caller abandons the
   // request is work nobody will collect.
   const bool enforce_deadline =
-      guard_ != nullptr && active_deadline_ < std::numeric_limits<double>::infinity();
+      guard_ != nullptr && r.deadline < std::numeric_limits<double>::infinity();
   const common::Seconds budget_end =
-      std::min(arrival + policy.timeout_budget,
-               enforce_deadline ? active_deadline_
-                                : std::numeric_limits<double>::infinity());
-  for (std::size_t i = 0; i < per_server.size(); ++i) {
-    if (per_server[i] == 0) continue;
+      std::min(r.arrival + policy.timeout_budget,
+               enforce_deadline ? r.deadline : std::numeric_limits<double>::infinity());
+  for (std::size_t i = 0; i < per_server_.size(); ++i) {
+    if (per_server_[i] == 0) continue;
     std::size_t server = i;
-    const common::ByteCount bytes = per_server[i];
-    common::Seconds t = arrival;
+    const common::ByteCount bytes = per_server_[i];
+    common::Seconds t = r.arrival;
     std::size_t attempt = 1;
     for (;;) {
       if (injector.offline(server, t)) {
@@ -229,9 +168,10 @@ common::Status HybridPfs::dispatch_degraded(common::FileId file, common::OpType 
         if (guard_ != nullptr) guard_->record_server(server, t, false);
         if (op == common::OpType::kWrite) {
           // The payload is already durable in the client-visible content
-          // plane (store() ran before dispatch), so park the server charge
-          // in the redo log and acknowledge — read-your-writes holds.
-          fault_->redo().append(fault::RedoEntry{server, file, bytes, t});
+          // plane (the content stage ran before dispatch), so park the
+          // server charge in the redo log and acknowledge — read-your-writes
+          // holds.
+          fault_->redo().append(fault::RedoEntry{server, r.file, bytes, t});
           ++metrics.redo_logged;
           result.completion = std::max(result.completion, t);
           break;
@@ -310,14 +250,14 @@ common::Status HybridPfs::dispatch_degraded(common::FileId file, common::OpType 
         t += delay;
         continue;
       }
-      charge_sub(op, server, bytes, t, result);
+      charge_sub(op, server, bytes, t, r.job, result);
       if (guard_ != nullptr) {
         // End-to-end deadline: if this sub-request cannot complete before
         // the caller abandons the request, stop here and cancel the
         // siblings already charged — work the servers would otherwise
         // perform for nothing.  The blown deadline is this server's
         // failure as far as its breaker is concerned: it was too slow.
-        if (enforce_deadline && result.completion > active_deadline_) {
+        if (enforce_deadline && result.completion > r.deadline) {
           guard_->note_deadline_miss();
           guard_->record_server(server, t, false);
           rewind_receipts();
@@ -332,24 +272,21 @@ common::Status HybridPfs::dispatch_degraded(common::FileId file, common::OpType 
   return common::Status::ok();
 }
 
-common::Status HybridPfs::dispatch(common::FileId file, common::OpType op,
-                                   const std::vector<common::ByteCount>& per_server,
-                                   common::Seconds arrival, IoResult& result) const {
+common::Status HybridPfs::dispatch(const BatchRequest& r, common::OpType op,
+                                   IoResult& result) {
   receipts_.clear();
-  if (fault_ != nullptr) {
-    return dispatch_degraded(file, op, per_server, arrival, result);
-  }
-  MHA_RETURN_IF_ERROR(admit_request(per_server, arrival));
+  if (fault_ != nullptr) return dispatch_degraded(r, op, result);
+  MHA_RETURN_IF_ERROR(admit_request(r.job, r.arrival));
   const bool enforce_deadline =
-      guard_ != nullptr && active_deadline_ < std::numeric_limits<double>::infinity();
+      guard_ != nullptr && r.deadline < std::numeric_limits<double>::infinity();
   if (scheduler_ != nullptr && !enforce_deadline) {
     subs_.clear();
-    for (std::size_t i = 0; i < per_server.size(); ++i) {
-      if (per_server[i] == 0) continue;
-      subs_.push_back(sim::SubRequest{i, op, per_server[i], active_job_});
+    for (std::size_t i = 0; i < per_server_.size(); ++i) {
+      if (per_server_[i] == 0) continue;
+      subs_.push_back(sim::SubRequest{i, op, per_server_[i], r.job});
     }
     const sched::DispatchResult out = scheduler_->dispatch(
-        row_, std::span<const sim::SubRequest>(subs_.data(), subs_.size()), arrival);
+        row_, std::span<const sim::SubRequest>(subs_.data(), subs_.size()), r.arrival);
     result.completion = std::max(result.completion, out.completion);
     result.sub_requests += out.sub_requests;
     result.servers_touched += subs_.size();
@@ -358,10 +295,10 @@ common::Status HybridPfs::dispatch(common::FileId file, common::OpType op,
   // Direct path — and, under an enforced deadline, the scheduler path too:
   // sub-requests go out one at a time so each leaves a cancellation receipt
   // and the first one that cannot make the deadline aborts the rest.
-  for (std::size_t i = 0; i < per_server.size(); ++i) {
-    if (per_server[i] == 0) continue;
-    charge_sub(op, i, per_server[i], arrival, result);
-    if (enforce_deadline && result.completion > active_deadline_) {
+  for (std::size_t i = 0; i < per_server_.size(); ++i) {
+    if (per_server_[i] == 0) continue;
+    charge_sub(op, i, per_server_[i], r.arrival, r.job, result);
+    if (enforce_deadline && result.completion > r.deadline) {
       guard_->note_deadline_miss();
       rewind_receipts();
       return common::Status::unavailable(
@@ -370,9 +307,6 @@ common::Status HybridPfs::dispatch(common::FileId file, common::OpType op,
   }
   return common::Status::ok();
 }
-
-HybridPfs::HybridPfs(const sim::ClusterConfig& config, std::string rst_path)
-    : HybridPfs(config, PfsOptions{std::move(rst_path), true}) {}
 
 common::Result<common::FileId> HybridPfs::create_file(const std::string& name,
                                                       StripeLayout layout) {
@@ -395,133 +329,96 @@ common::Result<common::FileId> HybridPfs::open(const std::string& name) const {
 common::Result<IoResult> HybridPfs::write(common::FileId file, common::Offset offset,
                                           const std::uint8_t* data, common::ByteCount size,
                                           common::Seconds arrival) {
-  if (file >= mds_.file_count()) return common::Status::out_of_range("bad file id");
-  const StripeLayout& layout = mds_.info(file).layout;
-  IoResult result;
-  result.completion = arrival;
-  // Move the data piece by piece, but charge each server exactly once for
-  // its accumulated bytes: the per-server physical image of one request is
-  // contiguous under dense round-robin packing, so a real client ships it
-  // as a single server message (the per-server term of Eq. 2).
-  std::fill(per_server_.begin(), per_server_.end(), 0);
-  layout.map_extent(offset, size, extents_);
-  const common::FileId replica = replica_of(file);
-  const bool failover = failover_active();
-  if (failover && replica == common::kInvalidFileId) {
-    // Fail before any content-plane mutation (matching the batched path,
-    // which rejects the request at translate time): a write that cannot
-    // reach a dead server and has no replica to land on would otherwise be
-    // silently lossy.
-    for (const SubExtent& sub : extents_) {
-      if (!membership_->dead(sub.server)) continue;
-      ++failover_stats_.unavailable;
-      return common::Status::unavailable(
-          "server " + std::to_string(sub.server) + " is dead and file " +
-          std::to_string(file) + " has no replica");
-    }
-  }
-  for (const SubExtent& sub : extents_) {
-    const bool dead = failover && membership_->dead(sub.server);
-    if (dead) {
-      // Primary copy is gone for good; the mirror store below is the only
-      // landing site, and it carries the full charge.
-      ++failover_stats_.failover_writes;
-    } else {
-      // Silent-fault injection point: with a fault context attached, each
-      // stored sub-extent may be bit-rotted, torn or misdirected on its way
-      // to the content plane.  The draw consumes randomness only under a
-      // covering silent window, and the sim charges normal time either way —
-      // silent faults are invisible to schedulers and to every timing golden.
-      bool stored = false;
-      if (fault_ != nullptr) {
-        const sim::WriteFault wf = fault_->injector().draw_write_fault(
-            sub.server, arrival, sub.physical_offset, sub.length);
-        if (wf.kind != sim::WriteFault::Kind::kNone) {
-          servers_[sub.server]->store_faulted(file, sub.physical_offset,
-                                              data + (sub.logical_offset - offset),
-                                              sub.length, wf);
-          per_server_[sub.server] += sub.length;
-          stored = true;
-        }
-      }
-      if (!stored) {
-        servers_[sub.server]->store(file, sub.physical_offset,
-                                    data + (sub.logical_offset - offset), sub.length);
-        per_server_[sub.server] += sub.length;
-      }
-    }
-    if (replica != common::kInvalidFileId) {
-      MHA_RETURN_IF_ERROR(
-          mirror_write_sub(replica, sub, data + (sub.logical_offset - offset)));
-    }
-  }
-  MHA_RETURN_IF_ERROR(dispatch(file, common::OpType::kWrite, per_server_, arrival, result));
-  mds_.extend(file, offset + size);
-  return result;
+  return run_one(common::OpType::kWrite, BatchRequest{file, offset, size, nullptr, data,
+                                                      arrival, active_job_, active_deadline_});
 }
 
 common::Result<IoResult> HybridPfs::read(common::FileId file, common::Offset offset,
                                          std::uint8_t* out, common::ByteCount size,
-                                         common::Seconds arrival) const {
-  if (file >= mds_.file_count()) return common::Status::out_of_range("bad file id");
-  const StripeLayout& layout = mds_.info(file).layout;
-  IoResult result;
-  result.completion = arrival;
-  std::fill(per_server_.begin(), per_server_.end(), 0);
-  layout.map_extent(offset, size, extents_);
-  const bool failover = failover_active();
-  for (const SubExtent& sub : extents_) {
-    if (failover && membership_->dead(sub.server)) {
-      MHA_RETURN_IF_ERROR(
-          failover_read_sub(file, sub, out + (sub.logical_offset - offset)));
-      continue;
-    }
-    common::Status verified = servers_[sub.server]->load_verified(
-        file, sub.physical_offset, out + (sub.logical_offset - offset), sub.length);
-    if (!verified.is_ok()) {
-      if (fault_ != nullptr) ++fault_->metrics().corruption_detected;
-      return common::Status::corruption("server " + std::to_string(sub.server) + " file " +
-                                        std::to_string(file) + ": " + verified.message());
-    }
-    per_server_[sub.server] += sub.length;
-  }
-  MHA_RETURN_IF_ERROR(dispatch(file, common::OpType::kRead, per_server_, arrival, result));
-  return result;
+                                         common::Seconds arrival) {
+  return run_one(common::OpType::kRead, BatchRequest{file, offset, size, out, nullptr,
+                                                     arrival, active_job_, active_deadline_});
 }
 
-void HybridPfs::batch_serial(common::OpType op, std::span<const BatchRequest> reqs,
-                             BatchResultVec& results) {
-  const common::JobId saved_job = active_job_;
-  const common::Seconds saved_deadline = active_deadline_;
+common::Result<IoResult> HybridPfs::run_one(common::OpType op, const BatchRequest& req) {
+  run_batch(op, std::span<const BatchRequest>(&req, 1), single_);
+  if (!single_[0].status.is_ok()) return single_[0].status;
+  return single_[0].io;
+}
+
+void HybridPfs::write_batch(std::span<const BatchRequest> reqs, BatchResultVec& results) {
+  run_batch(common::OpType::kWrite, reqs, results);
+}
+
+void HybridPfs::read_batch(std::span<const BatchRequest> reqs, BatchResultVec& results) {
+  run_batch(common::OpType::kRead, reqs, results);
+}
+
+void HybridPfs::run_batch(common::OpType op, std::span<const BatchRequest> reqs,
+                          BatchResultVec& results) {
+  results.clear();
+  results.resize(reqs.size());
+  const std::span<BatchOpResult> out(results.data(), results.size());
+  if (guard_ == nullptr && fault_ == nullptr) {
+    // Whole-batch walk: with no guard and no fault context no dispatch can
+    // fail, so running the content plane for every request ahead of the
+    // timing plane is unobservable.
+    const FailoverStats before = failover_stats_;
+    if (run_stages(op, reqs, out)) return;
+    // A read found corruption somewhere under the batch: redo it request by
+    // request so the failing request gets its exact Status (server, chunk,
+    // CRCs), siblings complete or skip as they would alone, and partially
+    // filled buffers match.  Verification mutated nothing and nothing was
+    // charged; only the translate pass's failover counts are rolled back,
+    // so each failover sub-read is counted once.
+    failover_stats_ = before;
+    for (BatchOpResult& r : out) r = BatchOpResult{};
+  }
+  // Request-by-request walk: admission, deadline cancellation and fault RNG
+  // draws happen per request in batch order, and a failing request skips
+  // the rest of its group.
   bool have_failed_group = false;
   std::uint32_t failed_group = 0;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const BatchRequest& r = reqs[i];
-    BatchOpResult& out = results[i];
-    if (have_failed_group && r.group == failed_group) {
-      out.skipped = true;
+    if (have_failed_group && reqs[i].group == failed_group) {
+      out[i].skipped = true;
       continue;
     }
-    active_job_ = r.job;
-    active_deadline_ = r.deadline;
-    const common::Result<IoResult> res =
-        op == common::OpType::kWrite
-            ? write(r.file, r.offset, r.write_data, r.size, r.arrival)
-            : read(r.file, r.offset, r.read_out, r.size, r.arrival);
-    if (res.is_ok()) {
-      out.io = *res;
-    } else {
-      out.status = res.status();
+    run_stages(op, reqs.subspan(i, 1), out.subspan(i, 1));
+    if (!out[i].status.is_ok()) {
       have_failed_group = true;
-      failed_group = r.group;
+      failed_group = reqs[i].group;
     }
   }
-  active_job_ = saved_job;
-  active_deadline_ = saved_deadline;
 }
 
-bool HybridPfs::batch_translate(common::OpType op, std::span<const BatchRequest> reqs,
-                                BatchResultVec& results) {
+bool HybridPfs::run_stages(common::OpType op, std::span<const BatchRequest> reqs,
+                           std::span<BatchOpResult> results) {
+  if (!translate(op, reqs, results)) return true;
+  if (op == common::OpType::kWrite) {
+    store(reqs);
+  } else if (!load(reqs, results)) {
+    return false;
+  }
+  charge(op, reqs, results);
+  if (op == common::OpType::kWrite) {
+    // Metadata extends in batch order (an order-independent max, kept
+    // deterministic anyway); failed and skipped requests never extend, and
+    // a mirrored replica extends with its primary.
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      if (!results[i].status.is_ok() || results[i].skipped) continue;
+      mds_.extend(reqs[i].file, reqs[i].offset + reqs[i].size);
+      const common::FileId replica = replica_of(reqs[i].file);
+      if (replica != common::kInvalidFileId) {
+        mds_.extend(replica, reqs[i].offset + reqs[i].size);
+      }
+    }
+  }
+  return true;
+}
+
+bool HybridPfs::translate(common::OpType op, std::span<const BatchRequest> reqs,
+                          std::span<BatchOpResult> results) {
   batch_subs_.clear();
   batch_sub_begin_.clear();
   const bool failover = failover_active();
@@ -560,10 +457,15 @@ bool HybridPfs::batch_translate(common::OpType op, std::span<const BatchRequest>
                                        sub.physical_offset, sub.length,
                                        sub.logical_offset});
       } else if (op == common::OpType::kWrite) {
+        // The primary copy is gone for good; the mirror subs below are the
+        // only landing site, and they carry the full charge.
         ++failover_stats_.failover_writes;
       }
-      // Replica subs: reads retarget only when the primary is dead; writes
-      // always mirror so the copies stay coherent for a future kill.
+      // Replica subs: the replica shares the file's logical byte space, so
+      // this sub-extent's bytes live at the same logical range of the
+      // replica, mapped through its own layout.  Reads retarget only when
+      // the primary is dead; writes always mirror so the copies stay
+      // coherent for a future kill.
       if (replica != common::kInvalidFileId &&
           (dead || op == common::OpType::kWrite)) {
         mds_.info(replica).layout.map_extent(sub.logical_offset, sub.length,
@@ -592,8 +494,9 @@ bool HybridPfs::batch_translate(common::OpType op, std::span<const BatchRequest>
       }
     }
     if (!failed.is_ok()) {
-      // The failed request contributes nothing: no content op, no charge
-      // (same no-mutation contract as the serial pre-scan).
+      // The failed request contributes nothing: no content op, no charge.
+      // A write that cannot reach a dead server would otherwise be silently
+      // lossy, and a read would otherwise fill its buffer partially.
       batch_subs_.resize(req_begin);
       results[i].status = failed;
       have_failed_group = true;
@@ -606,41 +509,135 @@ bool HybridPfs::batch_translate(common::OpType op, std::span<const BatchRequest>
   return any;
 }
 
-void HybridPfs::batch_dispatch(common::OpType op, std::span<const BatchRequest> reqs,
-                               BatchResultVec& results) {
-  receipts_.clear();
-  if (scheduler_ != nullptr) {
-    // Scheduler path: one policy dispatch per request in batch order —
-    // identical queue evolution to the serial scheduler path (no guard on
-    // the fast path, so deadlines are never enforced here, matching
-    // serial).
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      BatchOpResult& out = results[i];
-      if (out.skipped || !out.status.is_ok()) continue;
-      out.io.completion = reqs[i].arrival;
-      std::fill(per_server_.begin(), per_server_.end(), 0);
-      for (std::uint32_t k = batch_sub_begin_[i]; k < batch_sub_begin_[i + 1]; ++k) {
-        per_server_[batch_subs_[k].server] += batch_subs_[k].length;
-      }
-      subs_.clear();
-      for (std::size_t s = 0; s < per_server_.size(); ++s) {
-        if (per_server_[s] == 0) continue;
-        subs_.push_back(sim::SubRequest{s, op, per_server_[s], reqs[i].job});
-      }
-      const sched::DispatchResult dr = scheduler_->dispatch(
-          row_, std::span<const sim::SubRequest>(subs_.data(), subs_.size()),
-          reqs[i].arrival);
-      out.io.completion = std::max(out.io.completion, dr.completion);
-      out.io.sub_requests += dr.sub_requests;
-      out.io.servers_touched += subs_.size();
+void HybridPfs::store(std::span<const BatchRequest> reqs) {
+  if (fault_ != nullptr) {
+    // Silent-fault injection point: each primary sub-write (a mirror sub's
+    // file is the replica) may be bit-rotted, torn or misdirected on its
+    // way to the content plane.  The draw consumes randomness only under a
+    // covering silent window, in mapping order, and the sim charges normal
+    // time either way — silent faults are invisible to schedulers and to
+    // every timing golden.
+    for (const BatchSub& s : batch_subs_) {
+      const BatchRequest& r = reqs[s.req];
+      const sim::WriteFault wf =
+          s.file == r.file ? fault_->injector().draw_write_fault(s.server, r.arrival,
+                                                                 s.physical_offset, s.length)
+                           : sim::WriteFault{};
+      servers_[s.server]->store_faulted(s.file, s.physical_offset,
+                                        r.write_data + (s.logical_offset - r.offset), s.length,
+                                        wf);
     }
     return;
   }
-  // Direct path: flatten every request's per-server aggregate sub-ops into
-  // one list, then make ONE dispatch call per touched server carrying that
-  // server's share of the whole batch.  Within a server the sub-ops keep
-  // batch order, so the queue evolution (including which sub-ops see the
-  // queued-startup discount) is bit-identical to per-request charges.
+  if (!stores_data()) return;
+  // Group the subs by (server, file), keeping batch order within each group
+  // so overlapping writes land exactly as one-by-one issue would, and push
+  // each group through one store_batch call (every touched checksum chunk
+  // paid once instead of once per sub-stripe piece — the dominant cost of
+  // small writes).
+  batch_sorted_ = batch_subs_;
+  std::sort(batch_sorted_.begin(), batch_sorted_.end(),
+            [](const BatchSub& a, const BatchSub& b) {
+              if (a.server != b.server) return a.server < b.server;
+              if (a.file != b.file) return a.file < b.file;
+              if (a.req != b.req) return a.req < b.req;
+              return a.logical_offset < b.logical_offset;
+            });
+  std::size_t g = 0;
+  while (g < batch_sorted_.size()) {
+    const std::uint32_t server = batch_sorted_[g].server;
+    const common::FileId file = batch_sorted_[g].file;
+    batch_slices_.clear();
+    std::size_t e = g;
+    for (; e < batch_sorted_.size() && batch_sorted_[e].server == server &&
+           batch_sorted_[e].file == file;
+         ++e) {
+      const BatchSub& s = batch_sorted_[e];
+      const BatchRequest& r = reqs[s.req];
+      batch_slices_.push_back(ExtentStore::IoSlice{
+          s.physical_offset, r.write_data + (s.logical_offset - r.offset), s.length});
+    }
+    servers_[server]->store_batch(
+        file, std::span<const ExtentStore::IoSlice>(batch_slices_.data(),
+                                                    batch_slices_.size()));
+    g = e;
+  }
+}
+
+bool HybridPfs::load(std::span<const BatchRequest> reqs, std::span<BatchOpResult> results) {
+  // Verification: sort the subs by physical position, coalesce
+  // overlap-or-adjacent runs per (server, file), and verify each run once.
+  // A run never bridges a physical gap, so its chunk set is exactly the
+  // union of the per-sub chunk sets — shared chunks just get checked once.
+  // A timing-only cluster holds no bytes, so there is nothing to verify.
+  bool clean = true;
+  if (stores_data()) {
+    batch_sorted_ = batch_subs_;
+    std::sort(batch_sorted_.begin(), batch_sorted_.end(),
+              [](const BatchSub& a, const BatchSub& b) {
+                if (a.server != b.server) return a.server < b.server;
+                if (a.file != b.file) return a.file < b.file;
+                if (a.physical_offset != b.physical_offset) {
+                  return a.physical_offset < b.physical_offset;
+                }
+                return a.req < b.req;
+              });
+    for (std::size_t g = 0; g < batch_sorted_.size() && clean;) {
+      const BatchSub& head = batch_sorted_[g];
+      common::Offset run_end = head.physical_offset + head.length;
+      std::size_t e = g + 1;
+      for (; e < batch_sorted_.size(); ++e) {
+        const BatchSub& s = batch_sorted_[e];
+        if (s.server != head.server || s.file != head.file || s.physical_offset > run_end) {
+          break;
+        }
+        run_end = std::max(run_end, s.physical_offset + s.length);
+      }
+      clean = servers_[head.server]
+                  ->verify_range(head.file, head.physical_offset,
+                                 run_end - head.physical_offset)
+                  .is_ok();
+      g = e;
+    }
+  }
+  if (!clean) {
+    if (reqs.size() > 1) return false;
+    // One request: verified loads sub by sub in mapping order name the
+    // first corrupt chunk, and fill the buffer exactly up to it.
+    const BatchRequest& r = reqs[0];
+    for (const BatchSub& s : batch_subs_) {
+      const common::Status verified = servers_[s.server]->load_verified(
+          s.file, s.physical_offset, r.read_out + (s.logical_offset - r.offset), s.length);
+      if (!verified.is_ok()) {
+        if (fault_ != nullptr) ++fault_->metrics().corruption_detected;
+        results[0].status = common::Status::corruption(
+            "server " + std::to_string(s.server) + " file " + std::to_string(s.file) + ": " +
+            verified.message());
+        return true;
+      }
+    }
+    return true;
+  }
+  // Raw loads: verification passed, and every destination slice is
+  // distinct, so order is irrelevant.
+  for (const BatchSub& s : batch_subs_) {
+    const BatchRequest& r = reqs[s.req];
+    servers_[s.server]->load(s.file, s.physical_offset,
+                             r.read_out + (s.logical_offset - r.offset), s.length);
+  }
+  return true;
+}
+
+void HybridPfs::charge(common::OpType op, std::span<const BatchRequest> reqs,
+                       std::span<BatchOpResult> results) {
+  // A scheduler, guard or fault context decides per request: one dispatch()
+  // each, in batch order.  Otherwise flatten every request's per-server
+  // aggregate into one list and make ONE charge_batch call per touched
+  // server carrying its share of the whole batch.  Within a server the
+  // sub-ops keep batch order, so the queue evolution (including which
+  // sub-ops see the queued-startup discount) is bit-identical to
+  // per-request charges.
+  const bool per_request = scheduler_ != nullptr || guard_ != nullptr || fault_ != nullptr;
   batch_charges_.clear();
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     BatchOpResult& out = results[i];
@@ -650,6 +647,11 @@ void HybridPfs::batch_dispatch(common::OpType op, std::span<const BatchRequest> 
     for (std::uint32_t k = batch_sub_begin_[i]; k < batch_sub_begin_[i + 1]; ++k) {
       per_server_[batch_subs_[k].server] += batch_subs_[k].length;
     }
+    if (per_request) {
+      out.status = dispatch(reqs[i], op, out.io);
+      if (!out.status.is_ok()) out.io = IoResult{};
+      continue;
+    }
     for (std::size_t s = 0; s < per_server_.size(); ++s) {
       if (per_server_[s] == 0) continue;
       batch_charges_.push_back(BatchCharge{
@@ -658,15 +660,15 @@ void HybridPfs::batch_dispatch(common::OpType op, std::span<const BatchRequest> 
                                      static_cast<std::uint32_t>(i), 0.0}});
     }
   }
+  if (batch_charges_.empty()) return;
   for (std::uint32_t s = 0; s < servers_.size(); ++s) {
     batch_server_ops_.clear();
     for (const BatchCharge& bc : batch_charges_) {
       if (bc.server == s) batch_server_ops_.push_back(bc.op);
     }
     if (batch_server_ops_.empty()) continue;
-    row_.server(s).charge_batch(
-        std::span<sim::ServerSim::BatchSubOp>(batch_server_ops_.data(),
-                                              batch_server_ops_.size()));
+    row_.server(s).charge_batch(std::span<sim::ServerSim::BatchSubOp>(
+        batch_server_ops_.data(), batch_server_ops_.size()));
     for (const sim::ServerSim::BatchSubOp& sub : batch_server_ops_) {
       BatchOpResult& out = results[sub.tag];
       out.io.completion = std::max(out.io.completion, sub.completion);
@@ -674,128 +676,6 @@ void HybridPfs::batch_dispatch(common::OpType op, std::span<const BatchRequest> 
       ++out.io.servers_touched;
     }
   }
-}
-
-void HybridPfs::write_batch(std::span<const BatchRequest> reqs, BatchResultVec& results) {
-  results.clear();
-  results.resize(reqs.size());
-  if (reqs.empty()) return;
-  if (!batch_fast_path()) {
-    batch_serial(common::OpType::kWrite, reqs, results);
-    return;
-  }
-  if (batch_translate(common::OpType::kWrite, reqs, results)) {
-    // Content plane: group the translated subs by (server, file), keeping
-    // batch order within each group so overlapping writes land exactly as
-    // the serial sequence would, and push each group through one
-    // store_batch call (every touched checksum chunk paid once instead of
-    // once per sub-stripe piece — the dominant cost of small writes).
-    if (!servers_.empty() && servers_[0]->stores_data()) {
-      batch_sorted_ = batch_subs_;
-      std::sort(batch_sorted_.begin(), batch_sorted_.end(),
-                [](const BatchSub& a, const BatchSub& b) {
-                  if (a.server != b.server) return a.server < b.server;
-                  if (a.file != b.file) return a.file < b.file;
-                  if (a.req != b.req) return a.req < b.req;
-                  return a.logical_offset < b.logical_offset;
-                });
-      std::size_t g = 0;
-      while (g < batch_sorted_.size()) {
-        const std::uint32_t server = batch_sorted_[g].server;
-        const common::FileId file = batch_sorted_[g].file;
-        batch_slices_.clear();
-        std::size_t e = g;
-        for (; e < batch_sorted_.size() && batch_sorted_[e].server == server &&
-               batch_sorted_[e].file == file;
-             ++e) {
-          const BatchSub& s = batch_sorted_[e];
-          const BatchRequest& r = reqs[s.req];
-          batch_slices_.push_back(ExtentStore::IoSlice{
-              s.physical_offset, r.write_data + (s.logical_offset - r.offset), s.length});
-        }
-        servers_[server]->store_batch(
-            file, std::span<const ExtentStore::IoSlice>(batch_slices_.data(),
-                                                        batch_slices_.size()));
-        g = e;
-      }
-    }
-    batch_dispatch(common::OpType::kWrite, reqs, results);
-  }
-  // Metadata extends in batch order (an order-independent max, kept
-  // deterministic anyway); failed and skipped requests never extend.
-  // Mirrored replicas extend with their primary, matching the serial path.
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    if (results[i].status.is_ok() && !results[i].skipped) {
-      mds_.extend(reqs[i].file, reqs[i].offset + reqs[i].size);
-      const common::FileId replica = replica_of(reqs[i].file);
-      if (replica != common::kInvalidFileId) {
-        mds_.extend(replica, reqs[i].offset + reqs[i].size);
-      }
-    }
-  }
-}
-
-void HybridPfs::read_batch(std::span<const BatchRequest> reqs, BatchResultVec& results) {
-  results.clear();
-  results.resize(reqs.size());
-  if (reqs.empty()) return;
-  if (!batch_fast_path()) {
-    batch_serial(common::OpType::kRead, reqs, results);
-    return;
-  }
-  if (!batch_translate(common::OpType::kRead, reqs, results)) return;
-  // Verification plane: sort the subs by physical position, coalesce
-  // overlap-or-adjacent runs per (server, file), and verify each run once.
-  // A run never bridges a physical gap, so its chunk set is exactly the
-  // union of the per-sub chunk sets the serial path would verify — shared
-  // chunks just get checked once instead of once per sub.
-  batch_sorted_ = batch_subs_;
-  std::sort(batch_sorted_.begin(), batch_sorted_.end(),
-            [](const BatchSub& a, const BatchSub& b) {
-              if (a.server != b.server) return a.server < b.server;
-              if (a.file != b.file) return a.file < b.file;
-              if (a.physical_offset != b.physical_offset) {
-                return a.physical_offset < b.physical_offset;
-              }
-              return a.req < b.req;
-            });
-  bool clean = true;
-  for (std::size_t g = 0; g < batch_sorted_.size() && clean;) {
-    const BatchSub& head = batch_sorted_[g];
-    common::Offset run_end = head.physical_offset + head.length;
-    std::size_t e = g + 1;
-    for (; e < batch_sorted_.size(); ++e) {
-      const BatchSub& s = batch_sorted_[e];
-      if (s.server != head.server || s.file != head.file ||
-          s.physical_offset > run_end) {
-        break;
-      }
-      run_end = std::max(run_end, s.physical_offset + s.length);
-    }
-    clean = servers_[head.server]
-                ->verify_range(head.file, head.physical_offset,
-                               run_end - head.physical_offset)
-                .is_ok();
-    g = e;
-  }
-  if (!clean) {
-    // Corruption somewhere under the batch: re-run everything through the
-    // serial member so the failing request gets the exact serial Status
-    // (chunk, CRCs, server), siblings complete or skip exactly as serial,
-    // and partially-filled output buffers match.  Nothing was mutated by
-    // the verify pass, so the replay starts from the same state.
-    for (std::size_t i = 0; i < results.size(); ++i) results[i] = BatchOpResult{};
-    batch_serial(common::OpType::kRead, reqs, results);
-    return;
-  }
-  // Content plane: raw loads per sub — verification already passed, and
-  // every destination slice is distinct, so order is irrelevant.
-  for (const BatchSub& s : batch_subs_) {
-    const BatchRequest& r = reqs[s.req];
-    servers_[s.server]->load(s.file, s.physical_offset,
-                             r.read_out + (s.logical_offset - r.offset), s.length);
-  }
-  batch_dispatch(common::OpType::kRead, reqs, results);
 }
 
 common::Result<IoResult> HybridPfs::write(common::FileId file, common::Offset offset,
@@ -807,7 +687,7 @@ common::Result<IoResult> HybridPfs::write(common::FileId file, common::Offset of
 common::Result<std::vector<std::uint8_t>> HybridPfs::read_bytes(common::FileId file,
                                                                 common::Offset offset,
                                                                 common::ByteCount size,
-                                                                common::Seconds arrival) const {
+                                                                common::Seconds arrival) {
   std::vector<std::uint8_t> out(size);
   auto r = read(file, offset, out.data(), size, arrival);
   if (!r.is_ok()) return r.status();

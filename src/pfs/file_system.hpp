@@ -107,6 +107,10 @@ class HybridPfs {
   DataServer& data_server(std::size_t i) { return *servers_[i]; }
   const DataServer& data_server(std::size_t i) const { return *servers_[i]; }
 
+  /// True when the data servers keep payload bytes (PfsOptions::store_data):
+  /// the one switch that says whether the content plane is on.
+  bool stores_data() const { return !servers_.empty() && servers_.front()->stores_data(); }
+
   /// Attaches a client-side I/O scheduler (borrowed; may be nullptr).  When
   /// set, every read/write dispatches its sub-requests through the policy;
   /// null keeps the direct FCFS-at-arrival path.
@@ -190,31 +194,32 @@ class HybridPfs {
 
   common::Result<common::FileId> open(const std::string& name) const;
 
+  /// Serial request path: a batch of one through write_batch/read_batch,
+  /// charged to the active job and bounded by the active deadline.
   common::Result<IoResult> write(common::FileId file, common::Offset offset,
                                  const std::uint8_t* data, common::ByteCount size,
                                  common::Seconds arrival);
 
   common::Result<IoResult> read(common::FileId file, common::Offset offset,
                                 std::uint8_t* out, common::ByteCount size,
-                                common::Seconds arrival) const;
+                                common::Seconds arrival);
 
-  /// Batched request path: issues every request of `reqs` with semantics
-  /// identical to calling write()/read() serially in batch order (same
-  /// stored bytes and CRC state, same per-server queue evolution, same
-  /// aggregate and per-job stats, same Statuses), while paying the batch
-  /// costs once instead of per request.  Without a guard or fault context
-  /// the fast path runs: one vectorized translate pass, per-(server, file)
-  /// coalesced content-plane ops (one store_batch / merged verify_range
-  /// per physical run), and ONE ServerSim dispatch per touched server
-  /// carrying the whole batch's sub-op list.  With a guard attached the
-  /// admission gate, deadline enforcement and tier shedding run per
-  /// request inside the batch (the guard picks its victims request by
-  /// request); with a fault context the degraded path and the silent-fault
-  /// RNG draw order are preserved exactly — both fall back to the serial
-  /// member functions per request.  `results` is cleared and filled
+  /// The request pipeline: issues every request of `reqs` with the
+  /// semantics of issuing them one by one in batch order (same stored bytes
+  /// and CRC state, same per-server queue evolution, same aggregate and
+  /// per-job stats, same Statuses), while paying the batch costs once.
+  /// Three stages: translate (layout mapping plus membership failover),
+  /// content plane (coalesced store_batch per (server, file) for writes;
+  /// one verify per coalesced physical run, then raw loads, for reads) and
+  /// timing plane (one ServerSim::charge_batch per touched server, or one
+  /// dispatch() per request once a scheduler, guard or fault context is
+  /// attached).  Without a guard or fault context each stage runs once over
+  /// the whole batch; with one, the batch walks request by request through
+  /// the same stages so admission, deadline cancellation and fault RNG
+  /// draws keep their per-request order.  `results` is cleared and filled
   /// index-parallel to `reqs`.  Zero heap allocations in the steady state:
   /// all scratch is owned by this HybridPfs and retains capacity across
-  /// batches (same single-client rule as the serial scratch).
+  /// calls (a HybridPfs serves one client at a time).
   void write_batch(std::span<const BatchRequest> reqs, BatchResultVec& results);
   void read_batch(std::span<const BatchRequest> reqs, BatchResultVec& results);
 
@@ -225,7 +230,7 @@ class HybridPfs {
   common::Result<std::vector<std::uint8_t>> read_bytes(common::FileId file,
                                                        common::Offset offset,
                                                        common::ByteCount size,
-                                                       common::Seconds arrival) const;
+                                                       common::Seconds arrival);
 
   common::Status remove(const std::string& name);
 
@@ -244,70 +249,63 @@ class HybridPfs {
   std::string stats_table() const;
 
  private:
-  /// Charges the per-server sub-requests of one file request, either through
-  /// the attached scheduler or directly (FCFS at arrival).  With a fault
-  /// context attached, runs the degraded-mode path instead; a sub-request
-  /// that exhausts its retry/timeout budget surfaces a non-ok Status.
-  common::Status dispatch(common::FileId file, common::OpType op,
-                          const std::vector<common::ByteCount>& per_server,
-                          common::Seconds arrival, IoResult& result) const;
-  common::Status dispatch_degraded(common::FileId file, common::OpType op,
-                                   const std::vector<common::ByteCount>& per_server,
-                                   common::Seconds arrival, IoResult& result) const;
+  /// Shared body of write_batch/read_batch: picks the walk (whole batch, or
+  /// request by request) and runs the three stages over it.
+  void run_batch(common::OpType op, std::span<const BatchRequest> reqs,
+                 BatchResultVec& results);
+  /// The serial wrappers' batch of one.
+  common::Result<IoResult> run_one(common::OpType op, const BatchRequest& req);
+  /// Translate -> content plane -> timing plane over one slice of a batch,
+  /// then metadata extension for successful writes.  Returns false, having
+  /// charged nothing, when a multi-request read found corruption: the
+  /// caller redoes the slice request by request.
+  bool run_stages(common::OpType op, std::span<const BatchRequest> reqs,
+                  std::span<BatchOpResult> results);
+  /// Stage 1: validates file ids and maps every request's extent into the
+  /// flat batch_subs_ list (per-request ranges in batch_sub_begin_),
+  /// applying group skip for failures.  The one failover mapping: with dead
+  /// servers, a read's dead sub retargets to the replica's subs, and a
+  /// write's dead primary sub is dropped; writes always mirror onto a
+  /// registered replica.  A request with no surviving copy fails here with
+  /// kUnavailable and contributes no subs.  Returns false when no request
+  /// survived.
+  bool translate(common::OpType op, std::span<const BatchRequest> reqs,
+                 std::span<BatchOpResult> results);
+  /// Stage 2 for writes: stores every sub's payload.
+  void store(std::span<const BatchRequest> reqs);
+  /// Stage 2 for reads: verifies, then loads every sub.  False when a
+  /// multi-request slice found corruption (nothing loaded).
+  bool load(std::span<const BatchRequest> reqs, std::span<BatchOpResult> results);
+  /// Stage 3: charges every surviving request's per-server bytes.
+  void charge(common::OpType op, std::span<const BatchRequest> reqs,
+              std::span<BatchOpResult> results);
+  /// Charges the per-server sub-requests in per_server_ of request `r`,
+  /// either through the attached scheduler or directly (FCFS at arrival).
+  /// With a fault context attached, runs the degraded-mode path instead; a
+  /// sub-request that exhausts its retry/timeout budget surfaces a non-ok
+  /// Status.
+  common::Status dispatch(const BatchRequest& r, common::OpType op, IoResult& result);
+  common::Status dispatch_degraded(const BatchRequest& r, common::OpType op,
+                                   IoResult& result);
   /// Charges one resolved sub-request at `t` (scheduler or direct path) and
   /// collects its cancellation receipt in receipts_.
   void charge_sub(common::OpType op, std::size_t server, common::ByteCount bytes,
-                  common::Seconds t, IoResult& result) const;
-  /// Admission gate + backlog observation for one request; non-ok when the
-  /// guard shed it.  No-op without a guard.
-  common::Status admit_request(const std::vector<common::ByteCount>& per_server,
-                               common::Seconds arrival) const;
+                  common::Seconds t, common::JobId job, IoResult& result);
+  /// Admission gate + backlog observation over per_server_ for one request;
+  /// non-ok when the guard shed it.  No-op without a guard.
+  common::Status admit_request(common::JobId job, common::Seconds arrival);
   /// Cancels every receipt collected for the current request, newest first
   /// (LIFO, the only order try_cancel can unwind).  Charges that later
   /// admissions baked in stay — those bytes are marked wasted on their
   /// server (and the guard's ledger when one is attached).
-  void rewind_receipts() const;
+  void rewind_receipts();
   /// Least-backlog online SServer whose breaker is closed (the degraded-read
   /// and breaker-reroute fallback target); servers_.size() when none.
   std::size_t pick_fallback_sserver(common::Seconds t) const;
 
   /// True when a membership view is attached and reports at least one dead
-  /// server — the only case the failover branches below are entered.
+  /// server — the only case the failover branches of translate are entered.
   bool failover_active() const;
-  /// Serves one sub-extent of a dead server from `file`'s replica: loads the
-  /// replica's bytes into `out` (verified) and charges the replica servers
-  /// in per_server_.  kUnavailable when no surviving copy exists.
-  common::Status failover_read_sub(common::FileId file, const SubExtent& sub,
-                                   std::uint8_t* out) const;
-  /// Mirrors one sub-extent's payload onto `replica` (store + per_server_
-  /// charge), keeping the copies coherent for future failover.
-  common::Status mirror_write_sub(common::FileId replica, const SubExtent& sub,
-                                  const std::uint8_t* data);
-
-  /// True when batches may take the coalesced fast path: with no guard and
-  /// no fault context a dispatch cannot fail, so reordering the content
-  /// plane ahead of the timing plane is unobservable.
-  bool batch_fast_path() const { return guard_ == nullptr && fault_ == nullptr; }
-  /// Exact-equivalence fallback: every request issued through the serial
-  /// write()/read() member in batch order (guard decisions, fault RNG draws
-  /// and degraded-mode bookkeeping all happen in the serial sequence),
-  /// honouring group skip.  Restores active job/deadline afterwards.
-  void batch_serial(common::OpType op, std::span<const BatchRequest> reqs,
-                    BatchResultVec& results);
-  /// Fast-path pass 1: validates file ids and translates every request's
-  /// extents into the flat batch_subs_ list (per-request ranges in
-  /// batch_sub_begin_), applying group skip for translate failures.  Op-
-  /// aware for failover: dead-server subs retarget to replica subs (reads)
-  /// or are replaced by mirror subs (writes, which mirror on live primaries
-  /// too); a request with no surviving copy fails here with kUnavailable
-  /// and contributes no subs.  Returns false when no request survived.
-  bool batch_translate(common::OpType op, std::span<const BatchRequest> reqs,
-                       BatchResultVec& results);
-  /// Fast-path timing plane: per-request per-server aggregation, then either
-  /// one scheduler dispatch per request (scheduler attached) or one
-  /// charge_batch call per touched server for the whole batch.
-  void batch_dispatch(common::OpType op, std::span<const BatchRequest> reqs,
-                      BatchResultVec& results);
 
   sim::ClusterConfig config_;
   MetadataServer mds_;
@@ -319,30 +317,31 @@ class HybridPfs {
   const repair::Membership* membership_ = nullptr;
   /// FileId -> replica FileId (kInvalidFileId), grown by set_replica only.
   std::vector<common::FileId> replica_of_;
-  /// Mutated under const on the read path (same single-client rule as the
-  /// scratch below).
-  mutable FailoverStats failover_stats_;
+  FailoverStats failover_stats_;
+  /// Job and deadline the serial read()/write() wrappers stamp on their
+  /// batch of one.
   common::JobId active_job_ = common::kDefaultJob;
   common::Seconds active_deadline_ = std::numeric_limits<double>::infinity();
   sched::ServerRow row_;
-  // Request-path scratch, reused across read/write calls so the steady state
-  // performs zero heap allocations per request.  Same single-client rule as
-  // Drt's lookup hint: a HybridPfs may be shared across threads only with
+  // Request-path scratch, reused across calls so the steady state performs
+  // zero heap allocations per request.  Same single-client rule as Drt's
+  // lookup hint: a HybridPfs may be shared across threads only with
   // external synchronisation (the bench harness gives each thread its own
   // world, so this is free there).
-  mutable std::vector<common::ByteCount> per_server_;
-  mutable StripeLayout::SubExtentVec extents_;
+  std::vector<common::ByteCount> per_server_;
+  StripeLayout::SubExtentVec extents_;
   /// Second mapping scratch for replica extents (nested inside the extents_
   /// walk, so it cannot share).
-  mutable StripeLayout::SubExtentVec failover_extents_;
-  mutable common::SmallVec<sim::SubRequest, 8> subs_;
+  StripeLayout::SubExtentVec failover_extents_;
+  common::SmallVec<sim::SubRequest, 8> subs_;
   /// Cancellation receipts of the in-flight request's charged siblings.
   struct SubCharge {
     std::size_t server = 0;
     sim::Charge charge;
   };
-  mutable common::SmallVec<SubCharge, 8> receipts_;
-  // Batch-path scratch (same ownership rule as the serial scratch above).
+  common::SmallVec<SubCharge, 8> receipts_;
+  /// The serial wrappers' one-entry result.
+  BatchResultVec single_;
   /// One translated sub-extent of one batch request.
   struct BatchSub {
     std::uint32_t req = 0;  ///< index into the batch
@@ -352,21 +351,21 @@ class HybridPfs {
     common::ByteCount length = 0;
     common::Offset logical_offset = 0;
   };
-  mutable common::SmallVec<BatchSub, 32> batch_subs_;
+  common::SmallVec<BatchSub, 32> batch_subs_;
   /// Per-request [begin, end) ranges into batch_subs_ (size = reqs + 1).
-  mutable common::SmallVec<std::uint32_t, 16> batch_sub_begin_;
+  common::SmallVec<std::uint32_t, 16> batch_sub_begin_;
   /// Sorted copy of batch_subs_ for content-plane grouping/coalescing.
-  mutable common::SmallVec<BatchSub, 32> batch_sorted_;
+  common::SmallVec<BatchSub, 32> batch_sorted_;
   /// Flattened (server, sub-op) list for the one-dispatch-per-server pass.
   struct BatchCharge {
     std::uint32_t server = 0;
     sim::ServerSim::BatchSubOp op;
   };
-  mutable common::SmallVec<BatchCharge, 32> batch_charges_;
+  common::SmallVec<BatchCharge, 32> batch_charges_;
   /// One server's contiguous sub-op list handed to ServerSim::charge_batch.
-  mutable common::SmallVec<sim::ServerSim::BatchSubOp, 32> batch_server_ops_;
+  common::SmallVec<sim::ServerSim::BatchSubOp, 32> batch_server_ops_;
   /// Per-(server, file) slice list handed to DataServer::store_batch.
-  mutable common::SmallVec<ExtentStore::IoSlice, 32> batch_slices_;
+  common::SmallVec<ExtentStore::IoSlice, 32> batch_slices_;
 };
 
 /// The file-system default stripe size (OrangeFS ships 64 KiB).

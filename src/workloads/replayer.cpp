@@ -161,8 +161,7 @@ common::Result<ReplayResult> replay(pfs::HybridPfs& pfs,
 
   Shadow shadow(options.verify_data, trace::extent_end(trace.records),
                 deployment.interceptor.get());
-  const bool fill_payload =
-      options.verify_data || (pfs.num_servers() > 0 && pfs.data_server(0).stores_data());
+  const bool fill_payload = options.verify_data || pfs.stores_data();
 
   ReplayResult result;
   std::vector<std::uint8_t> buffer;
@@ -184,54 +183,38 @@ common::Result<ReplayResult> replay(pfs::HybridPfs& pfs,
     }
   }
 
-  auto issue = [&](const trace::TraceRecord& r) -> common::Status {
-    buffer.resize(r.size);
-    const common::JobId job =
-        options.jobs != nullptr ? options.jobs->job_of_rank(r.rank) : common::kDefaultJob;
-    if (options.jobs != nullptr) pfs.set_active_job(job);
+  const auto job_of = [&](const trace::TraceRecord& r) {
+    return options.jobs != nullptr ? options.jobs->job_of_rank(r.rank)
+                                   : common::kDefaultJob;
+  };
+  const auto allowance_of = [&](common::JobId job) {
     const auto tier = options.jobs != nullptr
                           ? static_cast<std::size_t>(options.jobs->priority(job))
                           : static_cast<std::size_t>(qos::PriorityClass::kNormal);
-    const common::Seconds allowance = options.goodput_allowance[tier];
-    if (options.guard != nullptr) {
-      // End-to-end deadline: the rank's clock *now* (request issue, not the
-      // trace's nominal t_start) plus its tier's allowance.
-      pfs.set_active_deadline(mpi.now(r.rank) + allowance);
-    }
-    common::Seconds duration = 0.0;
-    common::Status failure = common::Status::ok();
-    if (r.op == common::OpType::kWrite) {
-      if (fill_payload) {
-        replay_write_fill(r.offset, buffer.data(), r.size);
-      }
-      auto op = cached.has_value() ? cached->write_at(r.rank, r.offset, buffer.data(), r.size)
-                                   : file->write_at(r.rank, r.offset, buffer.data(), r.size);
-      if (op.is_ok()) {
-        shadow.on_write(r.offset, buffer.data(), r.size);
-        result.bytes_written += r.size;
-        duration = op->duration();
-      } else {
-        failure = op.status();
-      }
-    } else {
-      auto op = cached.has_value() ? cached->read_at(r.rank, r.offset, buffer.data(), r.size)
-                                   : file->read_at(r.rank, r.offset, buffer.data(), r.size);
-      if (op.is_ok()) {
-        MHA_RETURN_IF_ERROR(shadow.check_read(r.offset, buffer.data(), r.size));
-        result.bytes_read += r.size;
-        duration = op->duration();
-      } else {
-        failure = op.status();
-      }
-    }
+    return options.goodput_allowance[tier];
+  };
+  // End-to-end deadline of a request issued now: the rank's clock (request
+  // issue, not the trace's nominal t_start) plus its tier's allowance.
+  // Enforced only under a guard.
+  const auto deadline_of = [&](const trace::TraceRecord& r, common::JobId job) {
+    return options.guard != nullptr ? mpi.now(r.rank) + allowance_of(job)
+                                    : std::numeric_limits<double>::infinity();
+  };
+
+  // Per-record bookkeeping of both issue paths: failure class, shadow
+  // write/verify over `data` (the record's payload or destination), bytes,
+  // latency, goodput vs late.  Non-ok only when the replay must abort.
+  const auto account = [&](const trace::TraceRecord& r, const common::Status& status,
+                           common::Seconds duration,
+                           const std::uint8_t* data) -> common::Status {
+    const common::JobId job = job_of(r);
     ++result.requests;
-    if (!failure.is_ok()) {
+    if (!status.is_ok()) {
       // Corruption is never an overload symptom — always fatal.
-      if (!options.tolerate_failures ||
-          failure.code() == common::ErrorCode::kCorruption) {
-        return failure;
+      if (!options.tolerate_failures || status.code() == common::ErrorCode::kCorruption) {
+        return status;
       }
-      if (failure.code() == common::ErrorCode::kOverloaded) {
+      if (status.code() == common::ErrorCode::kOverloaded) {
         ++result.shed_requests;
         if (!result.tenants.empty()) ++result.tenants[job].shed;
       } else {
@@ -240,10 +223,17 @@ common::Result<ReplayResult> replay(pfs::HybridPfs& pfs,
       }
       return common::Status::ok();
     }
+    if (r.op == common::OpType::kWrite) {
+      shadow.on_write(r.offset, data, r.size);
+      result.bytes_written += r.size;
+    } else {
+      MHA_RETURN_IF_ERROR(shadow.check_read(r.offset, data, r.size));
+      result.bytes_read += r.size;
+    }
     result.request_latency.add(duration);
     latency_pcts.add(duration);
     if (!result.tenants.empty()) result.tenants[job].observe(duration, r.size);
-    if (duration <= allowance) {
+    if (duration <= allowance_of(job)) {
       result.goodput_bytes += r.size;
       if (!result.tenants.empty()) result.tenants[job].goodput_bytes += r.size;
     } else {
@@ -251,6 +241,23 @@ common::Result<ReplayResult> replay(pfs::HybridPfs& pfs,
       if (!result.tenants.empty()) ++result.tenants[job].late;
     }
     return common::Status::ok();
+  };
+
+  auto issue = [&](const trace::TraceRecord& r) -> common::Status {
+    buffer.resize(r.size);
+    const common::JobId job = job_of(r);
+    if (options.jobs != nullptr) pfs.set_active_job(job);
+    if (options.guard != nullptr) pfs.set_active_deadline(deadline_of(r, job));
+    const bool write = r.op == common::OpType::kWrite;
+    if (write && fill_payload) replay_write_fill(r.offset, buffer.data(), r.size);
+    const common::Result<io::OpResult> op =
+        cached.has_value()
+            ? (write ? cached->write_at(r.rank, r.offset, buffer.data(), r.size)
+                     : cached->read_at(r.rank, r.offset, buffer.data(), r.size))
+            : (write ? file->write_at(r.rank, r.offset, buffer.data(), r.size)
+                     : file->read_at(r.rank, r.offset, buffer.data(), r.size));
+    return account(r, op.is_ok() ? common::Status::ok() : op.status(),
+                   op.is_ok() ? op->duration() : 0.0, buffer.data());
   };
 
   // Batched synchronous issue: the current maximal run of same-op,
@@ -263,22 +270,10 @@ common::Result<ReplayResult> replay(pfs::HybridPfs& pfs,
   std::vector<io::BatchOp> batch_ops;
   io::BatchOutcomeVec batch_outcomes;
 
-  const auto job_of = [&](const trace::TraceRecord& r) {
-    return options.jobs != nullptr ? options.jobs->job_of_rank(r.rank)
-                                   : common::kDefaultJob;
-  };
-  const auto allowance_of = [&](common::JobId job) {
-    const auto tier = options.jobs != nullptr
-                          ? static_cast<std::size_t>(options.jobs->priority(job))
-                          : static_cast<std::size_t>(qos::PriorityClass::kNormal);
-    return options.goodput_allowance[tier];
-  };
-
   auto flush_run = [&]() -> common::Status {
     common::Status failure = common::Status::ok();
     if (run.size() == 1) {
-      // A lone record pays none of the batch assembly; issue() is already
-      // the exact serial path.
+      // A lone record pays none of the batch assembly.
       failure = issue(*run[0]);
     } else if (!run.empty()) {
       const common::OpType op = run[0]->op;
@@ -289,18 +284,13 @@ common::Result<ReplayResult> replay(pfs::HybridPfs& pfs,
       common::ByteCount off = 0;
       for (const trace::TraceRecord* r : run) {
         const common::JobId job = job_of(*r);
-        common::Seconds deadline = std::numeric_limits<double>::infinity();
-        if (options.guard != nullptr) {
-          // Same stamp as issue(): the rank's clock now + the tier allowance.
-          deadline = mpi.now(r->rank) + allowance_of(job);
-        }
         std::uint8_t* slice = batch_buf.data() + off;
         if (op == common::OpType::kWrite && fill_payload) {
           replay_write_fill(r->offset, slice, r->size);
         }
         batch_ops.push_back(io::BatchOp{
             r->rank, r->offset, r->size, op == common::OpType::kRead ? slice : nullptr,
-            op == common::OpType::kWrite ? slice : nullptr, job, deadline});
+            op == common::OpType::kWrite ? slice : nullptr, job, deadline_of(*r, job)});
         off += r->size;
       }
       const std::span<const io::BatchOp> ops(batch_ops.data(), batch_ops.size());
@@ -309,50 +299,11 @@ common::Result<ReplayResult> replay(pfs::HybridPfs& pfs,
       } else {
         file->write_at_batch(ops, batch_outcomes);
       }
-      // Per-record bookkeeping, replicating issue()'s accounting exactly.
-      off = 0;
       for (std::size_t i = 0; i < run.size() && failure.is_ok(); ++i) {
-        const trace::TraceRecord* r = run[i];
-        const std::uint8_t* slice = batch_buf.data() + off;
-        off += r->size;
-        const common::JobId job = job_of(*r);
-        const common::Seconds allowance = allowance_of(job);
         const io::BatchOpOutcome& oc = batch_outcomes[i];
-        ++result.requests;
-        if (!oc.status.is_ok()) {
-          if (!options.tolerate_failures ||
-              oc.status.code() == common::ErrorCode::kCorruption) {
-            failure = oc.status;
-            break;
-          }
-          if (oc.status.code() == common::ErrorCode::kOverloaded) {
-            ++result.shed_requests;
-            if (!result.tenants.empty()) ++result.tenants[job].shed;
-          } else {
-            ++result.failed_requests;
-            if (!result.tenants.empty()) ++result.tenants[job].failed;
-          }
-          continue;
-        }
-        if (op == common::OpType::kWrite) {
-          shadow.on_write(r->offset, slice, r->size);
-          result.bytes_written += r->size;
-        } else {
-          failure = shadow.check_read(r->offset, slice, r->size);
-          if (!failure.is_ok()) break;
-          result.bytes_read += r->size;
-        }
-        const common::Seconds duration = oc.op.duration();
-        result.request_latency.add(duration);
-        latency_pcts.add(duration);
-        if (!result.tenants.empty()) result.tenants[job].observe(duration, r->size);
-        if (duration <= allowance) {
-          result.goodput_bytes += r->size;
-          if (!result.tenants.empty()) result.tenants[job].goodput_bytes += r->size;
-        } else {
-          ++result.late_requests;
-          if (!result.tenants.empty()) ++result.tenants[job].late;
-        }
+        const std::uint8_t* data =
+            op == common::OpType::kRead ? ops[i].read_out : ops[i].write_data;
+        failure = account(*run[i], oc.status, oc.op.duration(), data);
       }
     }
     for (const trace::TraceRecord* r : run) {
@@ -377,15 +328,9 @@ common::Result<ReplayResult> replay(pfs::HybridPfs& pfs,
         std::vector<common::Request> batch;
         batch.reserve(group.size());
         for (const trace::TraceRecord* r : group) {
-          const common::JobId job = options.jobs != nullptr
-                                        ? options.jobs->job_of_rank(r->rank)
-                                        : common::kDefaultJob;
-          const auto tier = options.jobs != nullptr
-                                ? static_cast<std::size_t>(options.jobs->priority(job))
-                                : static_cast<std::size_t>(qos::PriorityClass::kNormal);
-          batch.push_back(common::Request{r->rank, r->op, r->offset, r->size,
-                                          r->t_start, job,
-                                          r->t_start + options.goodput_allowance[tier]});
+          const common::JobId job = job_of(*r);
+          batch.push_back(common::Request{r->rank, r->op, r->offset, r->size, r->t_start,
+                                          job, r->t_start + allowance_of(job)});
         }
         order = options.scheduler->plan(batch);
       }
