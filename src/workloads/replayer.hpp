@@ -87,8 +87,9 @@ struct ReplayOptions {
   /// batch each, translated under a shared DRT cursor and dispatched once
   /// per server at the PFS.  Semantically identical to per-record issue
   /// (the batched-vs-serial equivalence suite pins stored bytes, per-job
-  /// server stats and Statuses); disable to A/B the serial path.
-  /// Independent mode always issues per record.
+  /// server stats and Statuses); false makes every record its own batch,
+  /// the reference side of that A/B.  Independent mode always issues per
+  /// record.
   bool batch_requests = true;
   /// Client-side page cache to replay through (borrowed; null replays
   /// uncached).  All requests route through a cache::CachedFile wrapped

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,7 +15,9 @@ namespace {
 class KvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "kv_test_" +
+    // The pid keeps parallel ctest processes apart: under ASan every
+    // process lays its heap out identically, so `this` alone collides.
+    path_ = testing::TempDir() + "kv_test_" + std::to_string(::getpid()) + "_" +
             std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".db";
     std::remove(path_.c_str());
   }
