@@ -148,7 +148,8 @@ struct Combo {
   bool torn;
 };
 
-std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
+template <typename Site>
+std::string combo_name(const ::testing::TestParamInfo<Site>& info) {
   std::string name = info.param.site;
   std::replace(name.begin(), name.end(), '-', '_');
   return name + (info.param.torn ? "_torn" : "_clean");
@@ -299,7 +300,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Combo{"copied-entry-2", false}, Combo{"copied-entry-2", true},
                       Combo{"copied", false}, Combo{"copied", true},
                       Combo{"committed", false}, Combo{"committed", true}),
-    combo_name);
+    combo_name<Combo>);
 
 // A crash during KV compaction strands "<journal>.compact"; the live log is
 // authoritative and the leftover must not confuse recovery (with or without
@@ -403,7 +404,7 @@ INSTANTIATE_TEST_SUITE_P(AllSites, FoldbackCrashMatrix,
                                            Combo{"foldback-begun", true},
                                            Combo{"foldback-copied", false},
                                            Combo{"foldback-copied", true}),
-                         combo_name);
+                         combo_name<Combo>);
 
 // --------------------------------------------- pipeline-driven crashes ---
 
@@ -469,9 +470,19 @@ INSTANTIATE_TEST_SUITE_P(DeploySites, PipelineCrashMatrix,
                          ::testing::Values(Combo{"copying", false},
                                            Combo{"committed", false},
                                            Combo{"committed", true}),
-                         combo_name);
+                         combo_name<Combo>);
 
 // --------------------------------------------------- rebuild crash sites ---
+
+/// A rebuild crash site with its own printer. gtest's fallback printer dumps
+/// a struct's raw bytes, and the `site` pointer and the padding after `torn`
+/// made those bytes, and so each listed test name, differ per process. The
+/// site is already the name's stem, so the printer shows the journal tail.
+struct RebuildSite : Combo {};
+
+void PrintTo(const RebuildSite& rebuild_site, std::ostream* os) {
+  *os << (rebuild_site.torn ? "torn tail" : "clean tail");
+}
 
 /// Rebuild-after-server-loss over the same discipline: every rebuilder crash
 /// site, each with and without a torn final journal record.  The world is a
@@ -481,7 +492,7 @@ INSTANTIATE_TEST_SUITE_P(DeploySites, PipelineCrashMatrix,
 /// resume (plus a fresh plan when the torn tail erased the whole plan —
 /// nothing was mutated in that case) the region serves with no failover at
 /// all and the journal is clean.
-class RebuildCrashMatrix : public ::testing::TestWithParam<Combo> {
+class RebuildCrashMatrix : public ::testing::TestWithParam<RebuildSite> {
  protected:
   void SetUp() override {
     journal_path_ = temp_path("rebuild");
@@ -581,14 +592,16 @@ TEST_P(RebuildCrashMatrix, ResumesToCleanCommit) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSites, RebuildCrashMatrix,
-    ::testing::Values(Combo{"planned", false}, Combo{"planned", true},
-                      Combo{"created", false}, Combo{"created", true},
-                      Combo{"copying", false}, Combo{"copying", true},
-                      Combo{"copied-task-0", false}, Combo{"copied-task-0", true},
-                      Combo{"copied", false}, Combo{"copied", true},
-                      Combo{"switched-task-0", false}, Combo{"switched-task-0", true},
-                      Combo{"switched", false}, Combo{"switched", true}),
-    combo_name);
+    ::testing::Values(RebuildSite{{"planned", false}}, RebuildSite{{"planned", true}},
+                      RebuildSite{{"created", false}}, RebuildSite{{"created", true}},
+                      RebuildSite{{"copying", false}}, RebuildSite{{"copying", true}},
+                      RebuildSite{{"copied-task-0", false}},
+                      RebuildSite{{"copied-task-0", true}},
+                      RebuildSite{{"copied", false}}, RebuildSite{{"copied", true}},
+                      RebuildSite{{"switched-task-0", false}},
+                      RebuildSite{{"switched-task-0", true}},
+                      RebuildSite{{"switched", false}}, RebuildSite{{"switched", true}}),
+    combo_name<RebuildSite>);
 
 }  // namespace
 }  // namespace mha

@@ -116,6 +116,11 @@ struct LayoutCase {
   const char* label;
 };
 
+// Printed by label. gtest's fallback printer dumps a struct's raw bytes, and
+// the vector's heap pointers made those bytes, and so each listed test name,
+// differ per process.
+void PrintTo(const LayoutCase& layout_case, std::ostream* os) { *os << layout_case.label; }
+
 class LayoutPropertyTest : public ::testing::TestWithParam<LayoutCase> {};
 
 // The mapping must partition any extent: pieces cover it exactly, in order,
