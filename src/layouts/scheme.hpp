@@ -61,14 +61,18 @@ inline std::uint8_t populate_byte(common::Offset offset) {
 }
 
 /// Block form of populate_byte: fills out[0..n) with the pattern bytes for
-/// offsets [start, start+n).  The multiply is carried incrementally (one add
-/// per byte), which the compiler vectorises — use this instead of a per-byte
-/// populate_byte loop on any buffer-sized fill.
-inline void populate_fill(common::Offset start, std::uint8_t* out, common::ByteCount n) {
-  constexpr std::uint64_t kStep = 1315423911ULL;
-  std::uint64_t acc = start * kStep;
+/// offsets [start, start+n), each XORed with `mask`.  The multiply is carried
+/// incrementally (one add per byte), which the compiler vectorises — use this
+/// instead of a per-byte populate_byte loop on any buffer-sized fill.  The
+/// byte taken is bits 17..24 of the product, which depend only on its low 32
+/// bits, so a 32-bit accumulator (twice the vector lanes of a 64-bit one)
+/// gives the same bytes.
+inline void populate_fill(common::Offset start, std::uint8_t* out, common::ByteCount n,
+                          std::uint8_t mask = 0) {
+  constexpr std::uint32_t kStep = 1315423911u;
+  std::uint32_t acc = static_cast<std::uint32_t>(start) * kStep;
   for (common::ByteCount i = 0; i < n; ++i, acc += kStep) {
-    out[i] = static_cast<std::uint8_t>(acc >> 17);
+    out[i] = static_cast<std::uint8_t>(acc >> 17) ^ mask;
   }
 }
 

@@ -1,6 +1,7 @@
 #include "pfs/extent_store.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
@@ -8,6 +9,13 @@
 #include "common/crc32.hpp"
 
 namespace mha::pfs {
+
+namespace {
+
+// Hashed in place of a chunk's holes, which read as zeros.
+constexpr std::array<std::uint8_t, ExtentStore::kChecksumChunk> kZeroChunk{};
+
+}  // namespace
 
 void ExtentStore::write(common::Offset offset, const std::vector<std::uint8_t>& data) {
   write(offset, data.data(), data.size());
@@ -213,13 +221,32 @@ void ExtentStore::ensure_chunks(std::size_t count) {
     chunk_crcs_.resize(count, 0);
     chunk_valid_.resize(count, 0);
   }
-  if (scratch_.size() < kChecksumChunk) scratch_.resize(kChecksumChunk);
+}
+
+std::uint32_t ExtentStore::crc_range(common::Offset lo, common::Offset hi,
+                                     std::uint32_t crc) const {
+  common::Offset pos = lo;
+  auto it = extents_.upper_bound(lo);
+  if (it != extents_.begin()) --it;
+  for (; it != extents_.end() && it->first < hi; ++it) {
+    const common::Offset ext_start = it->first;
+    const common::Offset ext_end = ext_start + it->second.size();
+    if (ext_end <= pos) continue;
+    if (ext_start > pos) {
+      crc = common::crc32(kZeroChunk.data(), ext_start - pos, crc);
+      pos = ext_start;
+    }
+    const common::Offset end = std::min(hi, ext_end);
+    crc = common::crc32(it->second.data() + (pos - ext_start), end - pos, crc);
+    pos = end;
+  }
+  if (pos < hi) crc = common::crc32(kZeroChunk.data(), hi - pos, crc);
+  return crc;
 }
 
 std::uint32_t ExtentStore::chunk_crc(std::size_t c) const {
-  if (scratch_.size() < kChecksumChunk) scratch_.resize(kChecksumChunk);
-  read(static_cast<common::Offset>(c) * kChecksumChunk, scratch_.data(), kChecksumChunk);
-  return common::crc32(scratch_.data(), kChecksumChunk);
+  const common::Offset start = static_cast<common::Offset>(c) * kChecksumChunk;
+  return crc_range(start, start + kChecksumChunk, 0);
 }
 
 void ExtentStore::rechecksum(common::Offset offset, common::ByteCount size) {
@@ -331,14 +358,14 @@ void ExtentStore::write_torn(common::Offset offset, const std::uint8_t* data,
   const std::size_t first = offset / kChecksumChunk;
   const std::size_t last = (offset + size - 1) / kChecksumChunk;
   std::vector<std::uint32_t> as_if(last - first + 1, 0);
-  if (scratch_.size() < kChecksumChunk) scratch_.resize(kChecksumChunk);
   for (std::size_t c = first; c <= last; ++c) {
     const common::Offset chunk_start = static_cast<common::Offset>(c) * kChecksumChunk;
-    read(chunk_start, scratch_.data(), kChecksumChunk);
+    const common::Offset chunk_end = chunk_start + kChecksumChunk;
     const common::Offset lo = std::max(chunk_start, offset);
-    const common::Offset hi = std::min(chunk_start + kChecksumChunk, offset + size);
-    std::memcpy(scratch_.data() + (lo - chunk_start), data + (lo - offset), hi - lo);
-    as_if[c - first] = common::crc32(scratch_.data(), kChecksumChunk);
+    const common::Offset hi = std::min(chunk_end, offset + size);
+    std::uint32_t crc = crc_range(chunk_start, lo, 0);
+    crc = common::crc32(data + (lo - offset), hi - lo, crc);
+    as_if[c - first] = crc_range(hi, chunk_end, crc);
   }
   if (prefix > 0) raw_write(offset, data, prefix);
   ensure_chunks(last + 1);

@@ -11,9 +11,10 @@
 // sparse state).  verified_read() recomputes and compares before handing
 // bytes out — the end-to-end defence against silent corruption (bit rot,
 // torn writes, misdirected writes).  The checksum metadata lives in flat
-// vectors that only grow when the file grows, and verification stages chunks
-// through a member scratch buffer, so the steady-state request path stays
-// allocation-free (the PR 4 contract).
+// vectors that only grow when the file grows, and each chunk is hashed in
+// place (extent bytes where they live, holes from a static block of zeros)
+// with no staging copy, so the steady-state request path stays
+// allocation-free.
 //
 // Corruption-injection primitives (corrupt_flip / write_torn /
 // write_unchecked) intentionally break the write/checksum pairing; they
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -88,6 +90,13 @@ class ExtentStore {
   /// inconsistency to `sink`; returns the number of faulty chunks.
   std::size_t verify_chunks(const std::function<void(const ChunkFault&)>& sink) const;
 
+  /// The checksum on record for chunk `c`, or nullopt when no checksummed
+  /// write has touched it (lets tests recompute it independently).
+  std::optional<std::uint32_t> stored_crc(std::size_t c) const {
+    if (c >= chunk_valid_.size() || chunk_valid_[c] == 0) return std::nullopt;
+    return chunk_crcs_[c];
+  }
+
   // --- corruption injection (tests / fault benches only) -------------------
 
   /// Flips the bits under `mask` at `offset` without touching checksums;
@@ -134,8 +143,12 @@ class ExtentStore {
   /// Recomputes the checksum of every chunk overlapping [offset, end).
   void rechecksum(common::Offset offset, common::ByteCount size);
 
-  /// CRC over the materialized content of chunk `c` (stages through
-  /// scratch_; const because verification needs it).
+  /// Continues `crc` over the materialized content of [lo, hi), hashing
+  /// extent bytes where they live and holes from a shared block of zeros.
+  /// A hole inside the range must be at most kChecksumChunk long.
+  std::uint32_t crc_range(common::Offset lo, common::Offset hi, std::uint32_t crc) const;
+
+  /// CRC over the materialized content of chunk `c`.
   std::uint32_t chunk_crc(std::size_t c) const;
 
   /// Verifies one chunk; fills `fault` and returns false on inconsistency.
@@ -150,10 +163,6 @@ class ExtentStore {
   // first checksummed write).  Grows only when the file grows.
   std::vector<std::uint32_t> chunk_crcs_;
   std::vector<std::uint8_t> chunk_valid_;
-  // Chunk staging buffer, sized once to kChecksumChunk; mutable so the
-  // const verification paths can reuse it (single-client rule, see
-  // core/drt.hpp).
-  mutable std::vector<std::uint8_t> scratch_;
   // write_batch scratch: per-slice [first, last] chunk ranges, sorted and
   // merged for the deduplicated rechecksum pass.  Capacity is retained
   // across batches (zero-alloc steady state).

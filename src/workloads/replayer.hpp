@@ -171,11 +171,7 @@ inline std::uint8_t replay_write_byte(common::Offset offset) {
 /// Block form of replay_write_byte (see layouts::populate_fill).
 inline void replay_write_fill(common::Offset start, std::uint8_t* out,
                               common::ByteCount n) {
-  constexpr std::uint64_t kStep = 1315423911ULL;
-  std::uint64_t acc = start * kStep;
-  for (common::ByteCount i = 0; i < n; ++i, acc += kStep) {
-    out[i] = static_cast<std::uint8_t>(acc >> 17) ^ std::uint8_t{0xA5};
-  }
+  layouts::populate_fill(start, out, n, 0xA5);
 }
 
 }  // namespace mha::workloads

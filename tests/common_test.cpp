@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/crc32.hpp"
 #include "common/result.hpp"
@@ -94,6 +96,67 @@ TEST(Crc32, SensitiveToSingleBit) {
   std::string b = a;
   b[3] ^= 1;
   EXPECT_NE(crc32(a), crc32(b));
+}
+
+/// One bit per step, straight from the reflected polynomial: the reference
+/// both kernels must match.
+std::uint32_t crc32_bitwise(const std::uint8_t* data, std::size_t size, std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+std::vector<std::uint8_t> random_bytes(Rng& rng, std::size_t size) {
+  std::vector<std::uint8_t> bytes(size);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+  return bytes;
+}
+
+TEST(Crc32, KernelsMatchBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths below, at and above the 64-byte fold threshold and its 16-byte
+  // steps, plus page and chunk sizes ±1; every start alignment mod 16.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (const std::size_t n : {4096u, 65536u}) {
+    lengths.insert(lengths.end(), {n - 1, n, n + 1});
+  }
+  Rng rng(2018);
+  const std::vector<std::uint8_t> buffer = random_bytes(rng, 65537 + 16);
+  for (const std::size_t n : lengths) {
+    for (std::size_t align = 0; align < 16; ++align) {
+      const std::uint8_t* p = buffer.data() + align;
+      const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+      const std::uint32_t want = crc32_bitwise(p, n, seed);
+      ASSERT_EQ(crc32(p, n, seed), want) << "length " << n << " alignment " << align;
+      ASSERT_EQ(crc32_slice8(p, n, seed), want) << "length " << n << " alignment " << align;
+    }
+  }
+}
+
+TEST(Crc32, ChainingThroughRandomSplitsEqualsWhole) {
+  Rng rng(38);
+  const std::vector<std::uint8_t> buffer = random_bytes(rng, 70000);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t size = rng.next_in(0, buffer.size());
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    const std::uint32_t want = crc32_bitwise(buffer.data(), size, seed);
+    // Cut [0, size) into pieces of random length (short ones for the table
+    // kernel, long ones for the fold) and chain each piece's result on.
+    std::uint32_t fast = seed;
+    std::uint32_t table = seed;
+    for (std::size_t pos = 0; pos < size;) {
+      const std::size_t piece =
+          std::min<std::size_t>(size - pos, rng.next_in(1, rng.next_below(2) ? 100 : 20000));
+      fast = crc32(buffer.data() + pos, piece, fast);
+      table = crc32_slice8(buffer.data() + pos, piece, table);
+      pos += piece;
+    }
+    ASSERT_EQ(fast, want) << "trial " << trial << " size " << size;
+    ASSERT_EQ(table, want) << "trial " << trial << " size " << size;
+  }
 }
 
 // ------------------------------------------------------------------ rng ---

@@ -5,16 +5,19 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/crc32.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "core/placer.hpp"
 #include "core/redirector.hpp"
@@ -171,6 +174,76 @@ TEST(ExtentChecksums, NthStoredByteWalksExtentsInOrder) {
   EXPECT_EQ(*store.nth_stored_byte(10), 100u);
   EXPECT_EQ(*store.nth_stored_byte(19), 109u);
   EXPECT_FALSE(store.nth_stored_byte(20).is_ok());
+}
+
+/// Every chunk's stored CRC equals common::crc32 over `content`'s bytes of
+/// that chunk; a chunk with no CRC on record must read as zeros.
+void expect_chunk_crcs(const pfs::ExtentStore& store, const pfs::ExtentStore& content,
+                       std::size_t chunks, const std::string& step) {
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::vector<std::uint8_t> bytes = content.read(c * kChunk, kChunk);
+    const std::optional<std::uint32_t> stored = store.stored_crc(c);
+    if (stored.has_value()) {
+      ASSERT_EQ(*stored, common::crc32(bytes.data(), bytes.size())) << step << ", chunk " << c;
+    } else {
+      ASSERT_EQ(std::count(bytes.begin(), bytes.end(), 0), static_cast<long>(kChunk))
+          << step << ", chunk " << c;
+    }
+  }
+}
+
+TEST(ExtentChecksums, RandomSparseWritesKeepEveryStoredCrcExact) {
+  // Each round starts empty, so early writes leave holes; 1-64 byte writes
+  // put several extents in one chunk and the longest ones cross chunk edges.
+  // Writes go through write(), write_batch() and write_torn() (whose CRCs
+  // must read as if the whole payload landed, checked on a copy).
+  constexpr std::size_t kChunks = 6;
+  constexpr common::ByteCount kSpan = kChunks * kChunk;
+  common::Rng rng(38);
+  const auto random_size = [&]() -> common::ByteCount {
+    const std::uint64_t kind = rng.next_below(8);
+    if (kind < 3) return rng.next_in(1, 64);
+    if (kind < 5) return rng.next_in(65, 4_KiB);
+    if (kind < 7) return rng.next_in(4_KiB + 1, kChunk);
+    return rng.next_in(kChunk + 1, 2 * kChunk + kChunk / 2);
+  };
+  const auto random_bytes = [&](common::ByteCount size) {
+    std::vector<std::uint8_t> bytes(size);
+    for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+    return bytes;
+  };
+  for (int round = 0; round < 24; ++round) {
+    pfs::ExtentStore store;
+    std::vector<std::uint8_t> image(kSpan, 0);
+    for (int step = 0; step < 16; ++step) {
+      const std::string label = "round " + std::to_string(round) + " step " + std::to_string(step);
+      std::vector<std::pair<common::Offset, std::vector<std::uint8_t>>> writes;
+      const std::uint64_t path = rng.next_below(3);
+      const std::size_t count = path == 1 ? rng.next_in(1, 6) : 1;
+      for (std::size_t i = 0; i < count; ++i) {
+        const common::ByteCount size = random_size();
+        writes.emplace_back(rng.next_below(kSpan - size + 1), random_bytes(size));
+      }
+      if (path == 0) {
+        const auto& [offset, data] = writes.front();
+        pfs::ExtentStore torn = store;
+        torn.write_torn(offset, data.data(), data.size(), rng.next_below(data.size() + 1));
+        store.write(offset, data.data(), data.size());
+        ASSERT_NO_FATAL_FAILURE(expect_chunk_crcs(torn, store, kChunks, label + " (torn)"));
+      } else if (path == 1) {
+        std::vector<pfs::ExtentStore::IoSlice> slices;
+        for (const auto& [offset, data] : writes) slices.push_back({offset, data.data(), data.size()});
+        store.write_batch(slices);
+      } else {
+        store.write(writes.front().first, writes.front().second);
+      }
+      for (const auto& [offset, data] : writes) {
+        std::copy(data.begin(), data.end(), image.begin() + static_cast<long>(offset));
+      }
+      ASSERT_EQ(store.read(0, kSpan), image) << label;
+      ASSERT_NO_FATAL_FAILURE(expect_chunk_crcs(store, store, kChunks, label));
+    }
+  }
 }
 
 // ------------------------------------------------- silent-fault drawing ---

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 
@@ -33,11 +34,18 @@ struct Combo {
   std::size_t sservers;
 };
 
-template <typename Sweep>
-std::string combo_name(const ::testing::TestParamInfo<Sweep>& info) {
-  return std::string(info.param.scheme) + "_" + info.param.workload + "_" +
-         std::to_string(info.param.hservers) + "h" + std::to_string(info.param.sservers) +
-         "s";
+/// Prints a sweep case by value (`MHA ior 6h2s`). gtest's fallback printer
+/// dumps a struct's raw bytes, and the string pointers and padding made
+/// those bytes, and so each listed test name, differ between builds.
+void PrintTo(const Combo& combo, std::ostream* os) {
+  *os << combo.scheme << ' ' << combo.workload << ' ' << combo.hservers << 'h' << combo.sservers
+      << 's';
+}
+
+std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
+  std::string name = ::testing::PrintToString(info.param);
+  std::replace(name.begin(), name.end(), ' ', '_');
+  return name;
 }
 
 trace::Trace make_workload(const std::string& kind) {
@@ -139,22 +147,12 @@ INSTANTIATE_TEST_SUITE_P(
         Combo{"HARL", "lanl", 3, 1}, Combo{"MHA", "hpio", 6, 2}, Combo{"MHA", "hpio", 2, 2},
         Combo{"HARL", "btio", 6, 2}, Combo{"MHA", "btio", 4, 4}, Combo{"MHA", "ior", 7, 1},
         Combo{"MHA", "ior", 1, 7}, Combo{"AAL", "btio", 2, 6}),
-    combo_name<Combo>);
-
-/// LayoutRealisability's cases, printed by value. gtest's fallback printer
-/// dumps a struct's raw bytes, and Combo's string pointers made those bytes,
-/// and so each listed test name, differ per process.
-struct RealisabilityCase : Combo {};
-
-void PrintTo(const RealisabilityCase& sweep, std::ostream* os) {
-  *os << sweep.scheme << ' ' << sweep.workload << ' ' << sweep.hservers << 'h' << sweep.sservers
-      << 's';
-}
+    combo_name);
 
 // Stripe pairs produced by every scheme must be realisable layouts: the MDS
 // must never hold a layout whose widths are all zero or whose server count
 // mismatches the cluster.
-class LayoutRealisability : public ::testing::TestWithParam<RealisabilityCase> {};
+class LayoutRealisability : public ::testing::TestWithParam<Combo> {};
 
 TEST_P(LayoutRealisability, AllMdsLayoutsAreValid) {
   const Combo combo = GetParam();
@@ -181,12 +179,11 @@ TEST_P(LayoutRealisability, AllMdsLayoutsAreValid) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, LayoutRealisability,
-                         ::testing::Values(RealisabilityCase{{"MHA", "ior", 6, 2}},
-                                           RealisabilityCase{{"HARL", "ior", 6, 2}},
-                                           RealisabilityCase{{"MHA", "lanl", 2, 2}},
-                                           RealisabilityCase{{"HARL", "btio", 5, 3}},
-                                           RealisabilityCase{{"AAL", "hpio", 6, 2}}),
-                         combo_name<RealisabilityCase>);
+                         ::testing::Values(Combo{"MHA", "ior", 6, 2}, Combo{"HARL", "ior", 6, 2},
+                                           Combo{"MHA", "lanl", 2, 2},
+                                           Combo{"HARL", "btio", 5, 3},
+                                           Combo{"AAL", "hpio", 6, 2}),
+                         combo_name);
 
 // Recovery is idempotent from EVERY crash point: running recover_migration
 // a second time after a successful recovery must change nothing — same

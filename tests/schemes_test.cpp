@@ -235,6 +235,21 @@ TEST(PopulateByte, DeterministicAndSpread) {
   EXPECT_GT(distinct, 100);  // not a constant pattern
 }
 
+TEST(PopulateByte, BlockFillsMatchPerByteFormsPastFourGiB) {
+  // The fills carry a 32-bit accumulator; the bytes must still match the
+  // 64-bit per-byte forms where the offset no longer fits 32 bits.
+  for (const common::Offset start : {common::Offset{0}, common::Offset{4_GiB - 7},
+                                     common::Offset{(1ULL << 40) + 3}}) {
+    std::vector<std::uint8_t> plain(300), replay(300);
+    populate_fill(start, plain.data(), plain.size());
+    workloads::replay_write_fill(start, replay.data(), replay.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      ASSERT_EQ(plain[i], populate_byte(start + i)) << start << "+" << i;
+      ASSERT_EQ(replay[i], workloads::replay_write_byte(start + i)) << start << "+" << i;
+    }
+  }
+}
+
 // ------------------------------------------------------ scheme specifics ---
 
 TEST(SchemeSpecifics, DefUsesFixed64KStripesEverywhere) {
