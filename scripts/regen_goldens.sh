@@ -1,19 +1,21 @@
 #!/usr/bin/env bash
-# Regenerates the golden stdout files in bench/golden/ from the current
-# build.  Run this after an *intentional* change of a bench outcome (a new
-# microbench section, a changed coalescing shape, a moved figure cell),
-# review the diff, and commit the goldens together with the change that
-# caused them and the reason.  Tier-1 (one BenchGolden.<bench> ctest per
-# bench) and CI diff bench stdout byte-for-byte against these files, so an
-# unreviewed regen would launder a real regression.
+# Regenerates the golden stdout files in bench/golden/ and examples/golden/
+# from the current build.  Run this after an *intentional* change of a bench
+# or example outcome (a new microbench section, a changed coalescing shape,
+# a moved figure cell), review the diff, and commit the goldens together
+# with the change that caused them and the reason.  Tier-1 (one BenchGolden.<bench> ctest per
+# bench, one ExampleGolden.<name> per example) and CI diff stdout
+# byte-for-byte against these files, so an unreviewed regen would launder a
+# real regression.
 #
-#   BUILD_DIR - where the bench binaries live (default: build)
+#   BUILD_DIR - where the bench and example binaries live (default: build)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${BUILD_DIR:-${repo_root}/build}"
 golden_dir="${repo_root}/bench/golden"
-mkdir -p "${golden_dir}"
+example_golden_dir="${repo_root}/examples/golden"
+mkdir -p "${golden_dir}" "${example_golden_dir}"
 
 # Same list as MHA_GOLDEN_BENCHES in bench/CMakeLists.txt.
 benches=(
@@ -37,7 +39,17 @@ benches=(
   ext_repair
 )
 
-cmake --build "${build_dir}" -j --target microbench "${benches[@]}"
+# Each example with its arguments, as in examples/CMakeLists.txt
+# (mha_example_golden); "name" alone runs it with none.
+examples=(
+  "quickstart"
+  "checkpoint_reorder"
+  "cluster_explorer ior"
+  "trace_optimizer --demo"
+)
+
+cmake --build "${build_dir}" -j --target microbench "${benches[@]}" \
+  quickstart checkpoint_reorder cluster_explorer trace_optimizer
 
 # Structural stdout only: timed kernels print to stderr and are never
 # golden-diffed.  --threads=1 matches CI; stdout must not depend on it.
@@ -51,5 +63,11 @@ for bench in "${benches[@]}"; do
     > "${golden_dir}/${bench}.stdout" 2> /dev/null
 done
 
-echo "regenerated goldens in ${golden_dir}:"
-git -C "${repo_root}" diff --stat -- bench/golden || true
+for example in "${examples[@]}"; do
+  read -r name args <<< "${example}"
+  # shellcheck disable=SC2086  # args are whitespace-separated on purpose
+  "${build_dir}/examples/${name}" ${args} > "${example_golden_dir}/${name}.stdout" 2> /dev/null
+done
+
+echo "regenerated goldens in ${golden_dir} and ${example_golden_dir}:"
+git -C "${repo_root}" diff --stat -- bench/golden examples/golden || true
