@@ -140,6 +140,9 @@ class SmallVec {
 
   void grow_to(std::size_t n) {
     if (n < capacity_ * 2) n = capacity_ * 2;
+    // capacity_ >= N already makes n >= 2N; the explicit floor lets GCC see
+    // that the block is never empty (else -Warray-bounds at every caller).
+    if (n < N) n = N;
     T* fresh = static_cast<T*>(::operator new(n * sizeof(T)));
     for (std::size_t i = 0; i < size_; ++i) {
       ::new (static_cast<void*>(fresh + i)) T(std::move(data_[i]));
