@@ -5,6 +5,8 @@
 
 #include "common/log.hpp"
 #include "common/stats.hpp"
+#include "core/mover.hpp"
+#include "core/recovery.hpp"
 
 namespace mha::core {
 
@@ -107,9 +109,6 @@ common::Status OnlineMha::roll_back() {
   // widths + every copy) before touching a byte, so a crash mid-fold-back
   // recovers by re-running the idempotent region -> original copies.
   fault::MigrationJournal journal;
-  const auto crash_at = [&](std::string_view point) {
-    return options_.mha.crash_at && options_.mha.crash_at(point);
-  };
   if (!options_.mha.journal_path.empty()) {
     MHA_RETURN_IF_ERROR(journal.open(options_.mha.journal_path));
     if (journal.active()) {
@@ -126,41 +125,19 @@ common::Status OnlineMha::roll_back() {
       journal_regions.push_back(
           fault::JournalRegion{name, pfs_->mds().info(*id).layout.widths()});
     }
-    std::vector<fault::JournalEntry> journal_entries;
-    journal_entries.reserve(entries.size());
-    for (const DrtEntry& entry : entries) {
-      journal_entries.push_back(
-          fault::JournalEntry{entry.o_offset, entry.length, entry.r_file, entry.r_offset});
-    }
     MHA_RETURN_IF_ERROR(journal.begin_foldback(file_name_, std::move(journal_regions),
-                                               std::move(journal_entries)));
+                                               journal_entries(entries)));
   }
-  if (crash_at("foldback-begun")) {
-    return common::Status::io_error("injected crash at foldback-begun");
-  }
+  MHA_RETURN_IF_ERROR(crash_point(options_.mha.crash_at, "foldback-begun"));
 
-  constexpr common::ByteCount kChunk = 4 * 1024 * 1024;
-  std::vector<std::uint8_t> buffer;
-  common::Seconds clock = 0.0;
+  Mover fold_back(*pfs_, {});
   for (const DrtEntry& entry : entries) {
     auto region = pfs_->open(entry.r_file);
     if (!region.is_ok()) return region.status();
-    common::ByteCount moved = 0;
-    while (moved < entry.length) {
-      const common::ByteCount piece = std::min<common::ByteCount>(kChunk, entry.length - moved);
-      buffer.resize(piece);
-      auto r = pfs_->read(*region, entry.r_offset + moved, buffer.data(), piece, clock);
-      if (!r.is_ok()) return r.status();
-      auto w = pfs_->write(*original, entry.o_offset + moved, buffer.data(), piece,
-                           r->completion);
-      if (!w.is_ok()) return w.status();
-      clock = w->completion;
-      moved += piece;
-    }
+    fold_back.add(CopyTask{*region, entry.r_offset, *original, entry.o_offset, entry.length});
   }
-  if (crash_at("foldback-copied")) {
-    return common::Status::io_error("injected crash at foldback-copied");
-  }
+  MHA_RETURN_IF_ERROR(fold_back.run());
+  MHA_RETURN_IF_ERROR(crash_point(options_.mha.crash_at, "foldback-copied"));
   redirector_.reset();
   for (const std::string& region : regions) {
     MHA_RETURN_IF_ERROR(pfs_->remove(region));

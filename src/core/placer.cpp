@@ -1,21 +1,14 @@
 #include "core/placer.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <unordered_map>
 
 #include "common/log.hpp"
 #include "core/cost_model.hpp"
+#include "core/mover.hpp"
+#include "core/recovery.hpp"
 
 namespace mha::core {
-
-namespace {
-
-common::Status injected_crash(std::string_view point) {
-  return common::Status::io_error("injected crash at " + std::string(point));
-}
-
-}  // namespace
 
 common::Result<PlacementReport> Placer::apply(pfs::HybridPfs& pfs,
                                               const ReorganizePlan& plan,
@@ -30,9 +23,6 @@ common::Result<PlacementReport> Placer::apply(pfs::HybridPfs& pfs,
   if (!original.is_ok()) return original.status();
 
   fault::MigrationJournal* journal = options.journal;
-  const auto crash_at = [&](std::string_view point) {
-    return options.crash_at && options.crash_at(point);
-  };
 
   // Pre-compute the region layouts: they are both the RST rows the region
   // files are created with and (as raw widths) the journal's record of how
@@ -54,16 +44,10 @@ common::Result<PlacementReport> Placer::apply(pfs::HybridPfs& pfs,
       journal_regions.push_back(
           fault::JournalRegion{plan.regions[g].name, layouts[g].widths()});
     }
-    std::vector<fault::JournalEntry> journal_entries;
-    journal_entries.reserve(entries.size());
-    for (const DrtEntry& entry : entries) {
-      journal_entries.push_back(
-          fault::JournalEntry{entry.o_offset, entry.length, entry.r_file, entry.r_offset});
-    }
     MHA_RETURN_IF_ERROR(journal->begin(plan.drt.o_file(), std::move(journal_regions),
-                                       std::move(journal_entries)));
+                                       journal_entries(entries)));
   }
-  if (crash_at("planned")) return injected_crash("planned");
+  MHA_RETURN_IF_ERROR(crash_point(options.crash_at, "planned"));
 
   PlacementReport report;
   std::unordered_map<std::string, common::FileId> region_ids;
@@ -81,47 +65,31 @@ common::Result<PlacementReport> Placer::apply(pfs::HybridPfs& pfs,
   if (journal != nullptr) {
     MHA_RETURN_IF_ERROR(journal->set_phase(fault::JournalPhase::kRegionsCreated));
   }
-  if (crash_at("regions-created")) return injected_crash("regions-created");
+  MHA_RETURN_IF_ERROR(crash_point(options.crash_at, "regions-created"));
 
   if (journal != nullptr) {
     MHA_RETURN_IF_ERROR(journal->set_phase(fault::JournalPhase::kCopying));
   }
-  if (crash_at("copying")) return injected_crash("copying");
+  MHA_RETURN_IF_ERROR(crash_point(options.crash_at, "copying"));
 
   // Migrate: copy every DRT entry's bytes original -> region.
-  common::Seconds clock = 0.0;
-  std::vector<std::uint8_t> buffer;
-  for (std::size_t e = 0; e < entries.size(); ++e) {
-    const DrtEntry& entry = entries[e];
+  Mover migrate(pfs, {.chunk = options.chunk, .journal = journal,
+                      .crash_prefix = "copied-entry-", .crash_at = options.crash_at});
+  for (const DrtEntry& entry : entries) {
     auto target = region_ids.find(entry.r_file);
     if (target == region_ids.end()) {
       return common::Status::corruption("placer: DRT names unknown region " + entry.r_file);
     }
-    common::ByteCount moved = 0;
-    while (moved < entry.length) {
-      const common::ByteCount piece =
-          std::min<common::ByteCount>(options.chunk, entry.length - moved);
-      buffer.resize(piece);
-      auto read = pfs.read(*original, entry.o_offset + moved, buffer.data(), piece, clock);
-      if (!read.is_ok()) return read.status();
-      auto write = pfs.write(target->second, entry.r_offset + moved, buffer.data(), piece,
-                             read->completion);
-      if (!write.is_ok()) return write.status();
-      clock = write->completion;
-      moved += piece;
-    }
-    if (journal != nullptr) {
-      MHA_RETURN_IF_ERROR(journal->set_copy_progress(e, entry.length));
-    }
-    if (crash_at("copied-entry-" + std::to_string(e))) {
-      return injected_crash("copied-entry-" + std::to_string(e));
-    }
-    report.bytes_migrated += entry.length;
+    migrate.add(CopyTask{*original, entry.o_offset, target->second, entry.r_offset,
+                         entry.length});
   }
+  MHA_RETURN_IF_ERROR(migrate.run());
+  report.bytes_migrated = migrate.bytes_copied();
+  report.migration_time = migrate.next_issue();
   if (journal != nullptr) {
     MHA_RETURN_IF_ERROR(journal->set_phase(fault::JournalPhase::kCopied));
   }
-  if (crash_at("copied")) return injected_crash("copied");
+  MHA_RETURN_IF_ERROR(crash_point(options.crash_at, "copied"));
 
   // The atomic switch: after commit() the journaled DRT/RST are the truth
   // (recovery rebuilds the redirector from them); before it they are
@@ -129,7 +97,7 @@ common::Result<PlacementReport> Placer::apply(pfs::HybridPfs& pfs,
   if (journal != nullptr) {
     MHA_RETURN_IF_ERROR(journal->commit());
   }
-  if (crash_at("committed")) return injected_crash("committed");
+  MHA_RETURN_IF_ERROR(crash_point(options.crash_at, "committed"));
 
   // Heterogeneity-aware replication (after the commit on purpose: replicas
   // are derived, re-creatable data — see ApplyOptions::replicate_hot).
@@ -141,6 +109,7 @@ common::Result<PlacementReport> Placer::apply(pfs::HybridPfs& pfs,
   if (options.replicate_hot) {
     const CostParams params = CostParams::from_cluster(pfs.config());
     std::vector<common::ByteCount> replica_load(pfs.num_sservers(), 0);
+    Mover fill(pfs, {.chunk = options.chunk}, report.migration_time);
     for (std::size_t g = 0; g < plan.regions.size(); ++g) {
       const Region& region = plan.regions[g];
       if (stripe_pairs[g].h == 0 || region.length == 0) continue;
@@ -163,42 +132,19 @@ common::Result<PlacementReport> Placer::apply(pfs::HybridPfs& pfs,
       const std::string replica_name = region.name + ".rep";
       auto replica = pfs.create_file(replica_name, std::move(layout).take());
       if (!replica.is_ok()) return replica.status();
-      const common::FileId source = region_ids.at(region.name);
-      common::ByteCount copied = 0;
-      while (copied < region.length) {
-        const common::ByteCount piece =
-            std::min<common::ByteCount>(options.chunk, region.length - copied);
-        buffer.resize(piece);
-        auto read = pfs.read(source, copied, buffer.data(), piece, clock);
-        if (!read.is_ok()) return read.status();
-        auto write = pfs.write(*replica, copied, buffer.data(), piece, read->completion);
-        if (!write.is_ok()) return write.status();
-        clock = write->completion;
-        copied += piece;
-      }
+      fill.add(CopyTask{region_ids.at(region.name), 0, *replica, 0, region.length});
+      MHA_RETURN_IF_ERROR(fill.run());
       replica_load[best] += region.length;
       report.replica_pairs.emplace_back(region.name, replica_name);
       ++report.replicas_created;
       report.bytes_replicated += region.length;
       MHA_DEBUG << "placer: replica " << replica_name << " on SServer " << server;
-      if (crash_at("replica-" + std::to_string(g))) {
-        return injected_crash("replica-" + std::to_string(g));
-      }
+      MHA_RETURN_IF_ERROR(crash_point(options.crash_at, "replica-" + std::to_string(g)));
     }
-    if (crash_at("replicated")) return injected_crash("replicated");
+    report.migration_time = fill.next_issue();
+    MHA_RETURN_IF_ERROR(crash_point(options.crash_at, "replicated"));
   }
-
-  report.migration_time = clock;
   return report;
-}
-
-common::Result<PlacementReport> Placer::apply(pfs::HybridPfs& pfs,
-                                              const ReorganizePlan& plan,
-                                              const std::vector<StripePair>& stripe_pairs,
-                                              common::ByteCount chunk) {
-  ApplyOptions options;
-  options.chunk = chunk;
-  return apply(pfs, plan, stripe_pairs, options);
 }
 
 }  // namespace mha::core

@@ -10,11 +10,12 @@
 // windows (the caller resets stats afterwards).
 #pragma once
 
-#include <functional>
-#include <string_view>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.hpp"
+#include "core/mover.hpp"
 #include "core/reorganizer.hpp"
 #include "core/rssd.hpp"
 #include "fault/journal.hpp"
@@ -35,20 +36,23 @@ struct PlacementReport {
 };
 
 struct ApplyOptions {
-  /// Copies run in `chunk` granularity to bound buffer sizes.
-  common::ByteCount chunk = 4 * 1024 * 1024;
+  /// Copy granularity of the migration and the replica fill: both run
+  /// through one core::Mover, one read + one write per chunk, each chunk
+  /// issued when the previous one's write completes.
+  common::ByteCount chunk = kCopyChunk;
   /// Borrowed migration journal (may be nullptr).  When set, placement is
   /// crash-safe: the full plan is journaled before any PFS mutation, each
-  /// phase is stamped as it completes, per-entry copy progress is recorded,
-  /// and the final commit() is the atomic DRT/RST switch.  A crash at any
-  /// point is recoverable via core::recover_migration.
+  /// phase is stamped as it completes, each entry's copy progress (bytes
+  /// copied) is stamped after every chunk, and the final commit() is the
+  /// atomic DRT/RST switch.  A crash at any point is recoverable via
+  /// core::recover_migration, which resumes an entry from its progress.
   fault::MigrationJournal* journal = nullptr;
   /// Test hook simulating a crash: called with each named crash point
   /// ("planned", "regions-created", "copying", "copied-entry-<i>", "copied",
   /// "committed", "replica-<g>", "replicated"); returning true aborts
   /// placement there, leaving exactly the on-disk journal state a real
   /// crash would.
-  std::function<bool(std::string_view)> crash_at;
+  CrashHook crash_at;
   /// Heterogeneity-aware replication: after the migration commits, write a
   /// secondary copy of each hot (HServer-resident, h > 0) region onto the
   /// cost-model-chosen SServer (least projected transfer time under the
@@ -66,13 +70,7 @@ class Placer {
   static common::Result<PlacementReport> apply(pfs::HybridPfs& pfs,
                                                const ReorganizePlan& plan,
                                                const std::vector<StripePair>& stripe_pairs,
-                                               const ApplyOptions& options);
-
-  /// Back-compat convenience: default options except the copy chunk.
-  static common::Result<PlacementReport> apply(pfs::HybridPfs& pfs,
-                                               const ReorganizePlan& plan,
-                                               const std::vector<StripePair>& stripe_pairs,
-                                               common::ByteCount chunk = 4 * 1024 * 1024);
+                                               const ApplyOptions& options = {});
 };
 
 }  // namespace mha::core

@@ -1,36 +1,13 @@
 #include "core/recovery.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/log.hpp"
+#include "core/mover.hpp"
 
 namespace mha::core {
 
 namespace {
-
-constexpr common::ByteCount kChunk = 4 * 1024 * 1024;
-
-/// Chunked byte copy `from[from_offset ...]` -> `to[to_offset ...]` on the
-/// recovery timeline (recovery is offline; its traffic is not measured).
-common::Status copy_range(pfs::HybridPfs& pfs, common::FileId from,
-                          common::Offset from_offset, common::FileId to,
-                          common::Offset to_offset, common::ByteCount length,
-                          common::Seconds& clock) {
-  std::vector<std::uint8_t> buffer;
-  common::ByteCount moved = 0;
-  while (moved < length) {
-    const common::ByteCount piece = std::min<common::ByteCount>(kChunk, length - moved);
-    buffer.resize(piece);
-    auto r = pfs.read(from, from_offset + moved, buffer.data(), piece, clock);
-    if (!r.is_ok()) return r.status();
-    auto w = pfs.write(to, to_offset + moved, buffer.data(), piece, r->completion);
-    if (!w.is_ok()) return w.status();
-    clock = w->completion;
-    moved += piece;
-  }
-  return common::Status::ok();
-}
 
 /// Drops every journaled region file that exists on the PFS.
 common::Status drop_regions(pfs::HybridPfs& pfs, const fault::MigrationJournal& journal,
@@ -54,6 +31,15 @@ common::Result<Drt> rebuild_drt(const fault::MigrationJournal& journal) {
 }
 
 }  // namespace
+
+std::vector<fault::JournalEntry> journal_entries(const std::vector<DrtEntry>& entries) {
+  std::vector<fault::JournalEntry> out;
+  out.reserve(entries.size());
+  for (const DrtEntry& entry : entries) {
+    out.push_back(fault::JournalEntry{entry.o_offset, entry.length, entry.r_file, entry.r_offset});
+  }
+  return out;
+}
 
 const char* to_string(RecoveryAction action) {
   switch (action) {
@@ -97,7 +83,8 @@ common::Result<RecoveryReport> recover_migration(pfs::HybridPfs& pfs,
 
   if (phase == fault::JournalPhase::kCopying || phase == fault::JournalPhase::kCopied) {
     // Roll forward: the plan is fully journaled, copies original -> region
-    // are idempotent, and per-entry progress records bound the re-work.
+    // are idempotent, and each entry resumes from its journaled byte
+    // progress, so the re-work is at most one chunk per entry in flight.
     auto original = pfs.open(journal.o_file());
     if (!original.is_ok()) return original.status();
     for (const fault::JournalRegion& region : journal.regions()) {
@@ -108,18 +95,14 @@ common::Result<RecoveryReport> recover_migration(pfs::HybridPfs& pfs,
       if (!id.is_ok()) return id.status();
       ++report.regions_created;
     }
-    common::Seconds clock = 0.0;
-    const std::vector<fault::JournalEntry>& entries = journal.entries();
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      const fault::JournalEntry& entry = entries[e];
-      if (journal.copy_progress(e) >= entry.length) continue;  // already copied
+    Mover forward(pfs, {.journal = &journal});
+    for (const fault::JournalEntry& entry : journal.entries()) {
       auto region = pfs.open(entry.r_file);
       if (!region.is_ok()) return region.status();
-      MHA_RETURN_IF_ERROR(copy_range(pfs, *original, entry.o_offset, *region,
-                                     entry.r_offset, entry.length, clock));
-      MHA_RETURN_IF_ERROR(journal.set_copy_progress(e, entry.length));
-      report.bytes_copied += entry.length;
+      forward.add(CopyTask{*original, entry.o_offset, *region, entry.r_offset, entry.length});
     }
+    MHA_RETURN_IF_ERROR(forward.run());
+    report.bytes_copied = forward.bytes_copied();
     MHA_RETURN_IF_ERROR(journal.commit());
     MHA_ASSIGN_OR_RETURN(report.drt, rebuild_drt(journal));
     report.has_drt = true;
@@ -142,14 +125,14 @@ common::Result<RecoveryReport> recover_migration(pfs::HybridPfs& pfs,
   // before the crash), then drop the regions.
   auto original = pfs.open(journal.o_file());
   if (!original.is_ok()) return original.status();
-  common::Seconds clock = 0.0;
+  Mover fold_back(pfs, {});
   for (const fault::JournalEntry& entry : journal.entries()) {
     auto region = pfs.open(entry.r_file);
     if (!region.is_ok()) continue;
-    MHA_RETURN_IF_ERROR(copy_range(pfs, *region, entry.r_offset, *original,
-                                   entry.o_offset, entry.length, clock));
-    report.bytes_copied += entry.length;
+    fold_back.add(CopyTask{*region, entry.r_offset, *original, entry.o_offset, entry.length});
   }
+  MHA_RETURN_IF_ERROR(fold_back.run());
+  report.bytes_copied = fold_back.bytes_copied();
   MHA_RETURN_IF_ERROR(drop_regions(pfs, journal, report));
   MHA_RETURN_IF_ERROR(journal.clear());
   report.action = RecoveryAction::kFoldedBack;

@@ -9,9 +9,10 @@
 //   * before kCopying  -> roll BACK: the original file is untouched, so any
 //                         region files that were created are dropped
 //   * kCopying/kCopied -> roll FORWARD: missing region files are re-created
-//                         from their journaled widths, unfinished entries
-//                         are re-copied (copies original -> region are
-//                         idempotent), then the migration commits
+//                         from their journaled widths, each entry is copied
+//                         from its journaled byte progress on (copies
+//                         original -> region are idempotent), then the
+//                         migration commits
 //   * kCommitted       -> the migration already succeeded; the DRT is
 //                         rebuilt from the journal so the caller can
 //                         re-attach a Redirector
@@ -22,6 +23,8 @@
 // one of two consistent states: fully migrated (with a DRT to serve from)
 // or fully original.
 #pragma once
+
+#include <vector>
 
 #include "common/result.hpp"
 #include "core/drt.hpp"
@@ -53,6 +56,11 @@ struct RecoveryReport {
   /// *durable* phase rather than the one being written.
   bool journal_torn = false;
 };
+
+/// The journal's record of `entries` (one JournalEntry each, in order):
+/// what placement and OnlineMha's fold-back journal, and what recovery
+/// rebuilds a DRT from.
+std::vector<fault::JournalEntry> journal_entries(const std::vector<DrtEntry>& entries);
 
 /// Resolves whatever migration `journal` recorded against `pfs`, clearing
 /// the journal on success.  Safe to call on a journal with no active

@@ -11,10 +11,6 @@ namespace mha::repair {
 
 namespace {
 
-common::Status injected_crash(std::string_view point) {
-  return common::Status::io_error("injected crash at " + std::string(point));
-}
-
 bool all_digits(std::string_view s) {
   if (s.empty()) return false;
   for (char c : s) {
@@ -47,26 +43,6 @@ bool is_replica_name(std::string_view name) {
          (suffix.size() == 3 || all_digits(suffix.substr(3)));
 }
 
-/// Stamps the rebuild's QoS job (and an infinite deadline) on the PFS for
-/// one copy burst, restoring the caller's tenant on every exit path.
-class JobScope {
- public:
-  JobScope(pfs::HybridPfs& pfs, common::JobId job)
-      : pfs_(pfs), prev_job_(pfs.active_job()), prev_deadline_(pfs.active_deadline()) {
-    pfs_.set_active_job(job);
-    pfs_.set_active_deadline(std::numeric_limits<double>::infinity());
-  }
-  ~JobScope() {
-    pfs_.set_active_job(prev_job_);
-    pfs_.set_active_deadline(prev_deadline_);
-  }
-
- private:
-  pfs::HybridPfs& pfs_;
-  common::JobId prev_job_;
-  common::Seconds prev_deadline_;
-};
-
 }  // namespace
 
 void kill_server(Membership& membership, pfs::HybridPfs& pfs, std::size_t server,
@@ -92,7 +68,19 @@ Rebuilder::Rebuilder(pfs::HybridPfs& pfs, core::Redirector& redirector,
       redirector_(redirector),
       membership_(membership),
       journal_path_(std::move(journal_path)),
-      options_(std::move(options)) {}
+      options_(std::move(options)),
+      pump_(pfs, {}) {}
+
+void Rebuilder::start_pump(common::Seconds now) {
+  pump_ = core::Mover(pfs_,
+                      {.chunk = options_.chunk,
+                       .rate = options_.rate,
+                       .job = options_.job,
+                       .journal = journal_.is_open() ? &journal_ : nullptr,
+                       .crash_prefix = "copied-task-",
+                       .crash_at = options_.crash_at},
+                      now);
+}
 
 common::Status Rebuilder::plan(common::Seconds now) {
   if (planned_) {
@@ -211,7 +199,7 @@ common::Status Rebuilder::plan(common::Seconds now) {
   }
 
   planned_ = true;
-  next_issue_ = now;
+  start_pump(now);
   if (tasks_.empty()) {
     done_ = true;
     report_.finished_at = now;
@@ -230,17 +218,17 @@ common::Status Rebuilder::plan(common::Seconds now) {
     MHA_RETURN_IF_ERROR(journal_.begin("__rebuild__", std::move(regions),
                                        std::move(entries)));
   }
-  if (crash("planned")) return injected_crash("planned");
+  MHA_RETURN_IF_ERROR(core::crash_point(options_.crash_at, "planned"));
 
   MHA_RETURN_IF_ERROR(create_dests());
   if (journal_.is_open()) {
     MHA_RETURN_IF_ERROR(journal_.set_phase(fault::JournalPhase::kRegionsCreated));
   }
-  if (crash("created")) return injected_crash("created");
+  MHA_RETURN_IF_ERROR(core::crash_point(options_.crash_at, "created"));
   if (journal_.is_open()) {
     MHA_RETURN_IF_ERROR(journal_.set_phase(fault::JournalPhase::kCopying));
   }
-  if (crash("copying")) return injected_crash("copying");
+  MHA_RETURN_IF_ERROR(core::crash_point(options_.crash_at, "copying"));
   return common::Status::ok();
 }
 
@@ -249,14 +237,12 @@ common::Status Rebuilder::create_dests() {
     auto layout = pfs::StripeLayout::create(task.widths);
     if (!layout.is_ok()) return layout.status();
     auto id = pfs_.create_file(task.new_name, std::move(layout).take());
-    if (id.is_ok()) {
-      task.dest = *id;
-      continue;
+    if (!id.is_ok() && id.status().code() == common::ErrorCode::kAlreadyExists) {
+      id = pfs_.open(task.new_name);  // resumed rebuild: created pre-crash
     }
-    if (id.status().code() != common::ErrorCode::kAlreadyExists) return id.status();
-    auto open = pfs_.open(task.new_name);  // resumed rebuild: created pre-crash
-    if (!open.is_ok()) return open.status();
-    task.dest = *open;
+    if (!id.is_ok()) return id.status();
+    task.dest = *id;
+    pump_.add(core::CopyTask{task.source, 0, task.dest, 0, task.length});
   }
   return common::Status::ok();
 }
@@ -276,77 +262,16 @@ common::Result<std::size_t> Rebuilder::pick_sserver(
   return common::Status::unavailable("rebuilder: no surviving SServer");
 }
 
-common::Status Rebuilder::copy_range(common::FileId source, common::FileId dest,
-                                     common::Offset offset, common::ByteCount length,
-                                     common::Seconds& issue) {
-  JobScope scope(pfs_, options_.job);
-  common::ByteCount moved = 0;
-  while (moved < length) {
-    const common::ByteCount piece =
-        std::min<common::ByteCount>(options_.chunk, length - moved);
-    buffer_.resize(piece);
-    auto read = pfs_.read(source, offset + moved, buffer_.data(), piece, issue);
-    if (!read.is_ok()) return read.status();
-    auto write = pfs_.write(dest, offset + moved, buffer_.data(), piece,
-                            read->completion);
-    if (!write.is_ok()) return write.status();
-    issue = write->completion;
-    moved += piece;
-  }
-  return common::Status::ok();
-}
-
-common::Status Rebuilder::copy_pump(common::Seconds now, bool unbounded) {
-  while (task_index_ < tasks_.size()) {
-    Task& task = tasks_[task_index_];
-    if (!task_entered_) {
-      // A resumed rebuild restarts each task from its journaled progress
-      // (chunk copies are idempotent, so a torn chunk just re-copies).
-      task_pos_ = journal_.is_open()
-                      ? std::min(task.length, journal_.copy_progress(task_index_))
-                      : 0;
-      task_entered_ = true;
-    }
-    if (task_pos_ >= task.length) {
-      if (journal_.is_open()) {
-        MHA_RETURN_IF_ERROR(journal_.set_copy_progress(task_index_, task.length));
-      }
-      if (crash("copied-task-" + std::to_string(task_index_))) {
-        return injected_crash("copied-task-" + std::to_string(task_index_));
-      }
-      ++task_index_;
-      task_entered_ = false;
-      continue;
-    }
-    if (!unbounded && next_issue_ > now) return common::Status::ok();
-
-    const common::ByteCount piece =
-        std::min<common::ByteCount>(options_.chunk, task.length - task_pos_);
-    buffer_.resize(piece);
-    {
-      JobScope scope(pfs_, options_.job);
-      auto read = pfs_.read(task.source, task_pos_, buffer_.data(), piece, next_issue_);
-      if (!read.is_ok()) return read.status();
-      auto write = pfs_.write(task.dest, task_pos_, buffer_.data(), piece,
-                              read->completion);
-      if (!write.is_ok()) return write.status();
-      // Pacing: closed-loop when unthrottled (next chunk at this one's
-      // completion), token-paced otherwise — whichever is later.
-      const common::Seconds pace =
-          options_.rate > 0.0 ? static_cast<double>(piece) / options_.rate : 0.0;
-      next_issue_ = std::max(write->completion, next_issue_ + pace);
-    }
-    task_pos_ += piece;
-    report_.bytes_copied += piece;
-    if (journal_.is_open()) {
-      MHA_RETURN_IF_ERROR(journal_.set_copy_progress(task_index_, task_pos_));
-    }
-  }
+common::Status Rebuilder::copy_pump(common::Seconds now, common::Seconds horizon) {
+  const common::Status pumped = pump_.pump(horizon);
+  report_.bytes_copied = pump_.bytes_copied();
+  MHA_RETURN_IF_ERROR(pumped);
+  if (!pump_.done()) return common::Status::ok();
   if (journal_.is_open() && journal_.phase() == fault::JournalPhase::kCopying) {
     MHA_RETURN_IF_ERROR(journal_.set_phase(fault::JournalPhase::kCopied));
   }
-  if (crash("copied")) return injected_crash("copied");
-  return finish(std::max(now, next_issue_));
+  MHA_RETURN_IF_ERROR(core::crash_point(options_.crash_at, "copied"));
+  return finish(std::max(now, pump_.next_issue()));
 }
 
 common::Status Rebuilder::finish(common::Seconds now) {
@@ -390,6 +315,7 @@ common::Status Rebuilder::finish(common::Seconds now) {
     }
     // Writes that raced the copy marked their entries dirty; re-copy those
     // ranges at this quiescent instant so the new file is current.
+    core::Mover recopy(pfs_, {.chunk = options_.chunk, .job = options_.job}, issue);
     for (const core::DrtEntry& e : entries) {
       const bool mine = task.kind == TaskKind::kPrimary
                             ? e.r_file == task.old_name
@@ -401,15 +327,16 @@ common::Status Rebuilder::finish(common::Seconds now) {
         if (!primary.is_ok()) return primary.status();
         source = *primary;
       }
-      MHA_RETURN_IF_ERROR(copy_range(source, task.dest, e.r_offset, e.length, issue));
-      report_.bytes_recopied += e.length;
+      recopy.add(core::CopyTask{source, e.r_offset, task.dest, e.r_offset, e.length});
     }
+    MHA_RETURN_IF_ERROR(recopy.run());
+    issue = recopy.next_issue();
+    report_.bytes_recopied += recopy.bytes_copied();
     MHA_RETURN_IF_ERROR(drt.retarget_region(task.old_name, task.new_name));
     task.kind == TaskKind::kPrimary ? ++report_.primaries_rebuilt
                                     : ++report_.replicas_rebuilt;
-    if (crash("switched-task-" + std::to_string(i))) {
-      return injected_crash("switched-task-" + std::to_string(i));
-    }
+    MHA_RETURN_IF_ERROR(
+        core::crash_point(options_.crash_at, "switched-task-" + std::to_string(i)));
   }
 
   // Migration protocol, commit side: drop cached pages whose placement
@@ -429,7 +356,7 @@ common::Status Rebuilder::finish(common::Seconds now) {
   if (journal_.is_open()) {
     MHA_RETURN_IF_ERROR(journal_.commit());
   }
-  if (crash("switched")) return injected_crash("switched");
+  MHA_RETURN_IF_ERROR(core::crash_point(options_.crash_at, "switched"));
   if (journal_.is_open()) {
     MHA_RETURN_IF_ERROR(journal_.clear());
     MHA_RETURN_IF_ERROR(journal_.close());
@@ -441,7 +368,7 @@ common::Status Rebuilder::finish(common::Seconds now) {
     }
   }
   done_ = true;
-  report_.finished_at = std::max(issue, next_issue_);
+  report_.finished_at = std::max(issue, pump_.next_issue());
   MHA_INFO << "rebuilder: " << report_.primaries_rebuilt << " primaries + "
            << report_.replicas_rebuilt << " replicas re-protected, "
            << report_.lost_regions << " lost";
@@ -451,13 +378,13 @@ common::Status Rebuilder::finish(common::Seconds now) {
 common::Status Rebuilder::step(common::Seconds now) {
   if (!planned_) return common::Status::failed_precondition("rebuilder: plan() first");
   if (done_) return common::Status::ok();
-  return copy_pump(now, /*unbounded=*/false);
+  return copy_pump(now, now);
 }
 
 common::Status Rebuilder::run_to_completion(common::Seconds now) {
   if (!planned_) MHA_RETURN_IF_ERROR(plan(now));
   if (done_) return common::Status::ok();
-  return copy_pump(now, /*unbounded=*/true);
+  return copy_pump(now, std::numeric_limits<common::Seconds>::infinity());
 }
 
 common::Status Rebuilder::resume(common::Seconds now) {
@@ -527,6 +454,7 @@ common::Status Rebuilder::resume(common::Seconds now) {
     tasks_.push_back(std::move(task));
   }
   report_.tasks = tasks_.size();
+  start_pump(now);
   MHA_RETURN_IF_ERROR(create_dests());
 
   if (journal_.phase() == fault::JournalPhase::kPlanned ||
@@ -539,7 +467,6 @@ common::Status Rebuilder::resume(common::Seconds now) {
     }
   }
   planned_ = true;
-  next_issue_ = now;
   if (journal_.phase() == fault::JournalPhase::kCopied) {
     return finish(now);
   }

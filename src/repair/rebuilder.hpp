@@ -20,10 +20,11 @@
 //
 // Rebuild is crash-safe and resumable through the same MigrationJournal
 // discipline placement uses (plan journaled before any mutation, per-task
-// copy progress, commit as the atomic switch), throttled to a configurable
-// byte rate on the virtual timeline, and charged to a caller-chosen QoS job
-// so the fair-share scheduler can hold it to the lowest tier while
-// foreground traffic keeps its p99.
+// copy progress in bytes, commit as the atomic switch).  The copy is a
+// core::Mover pumped from the caller's quiescent instants: throttled to a
+// configurable byte rate on the virtual timeline and charged to a
+// caller-chosen QoS job, so the fair-share scheduler can hold it to the
+// lowest tier while foreground traffic keeps its p99.
 //
 // Writes racing the copy are handled at switch time: the redirector marks
 // DRT entries dirty on every intercepted write, and the switch re-copies
@@ -33,12 +34,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cache/page_cache.hpp"
+#include "core/mover.hpp"
 #include "core/redirector.hpp"
 #include "fault/journal.hpp"
 #include "pfs/file_system.hpp"
@@ -52,14 +52,18 @@ void kill_server(Membership& membership, pfs::HybridPfs& pfs, std::size_t server
                  common::Seconds now, fault::FaultInjector* injector = nullptr);
 
 struct RebuildOptions {
-  /// Copy granularity (one read + one write per chunk).
+  /// Copy granularity of the re-home copy and the switch-time dirty
+  /// re-copy (core::Mover: one read + one write per chunk).
   common::ByteCount chunk = 1 * 1024 * 1024;
-  /// Throttle: rebuild copy bytes per virtual second (0 = unthrottled).
-  /// step(now) only issues chunks whose pacing instant has arrived, so the
-  /// rebuild spreads over the foreground workload instead of flooding it.
+  /// Throttle: rebuild copy bytes per virtual second (0 = unthrottled).  The
+  /// next chunk issues at max(this chunk's write completion, its issue +
+  /// chunk / rate), and step(now) only issues chunks whose instant has
+  /// arrived, so the rebuild spreads over the foreground workload instead
+  /// of flooding it.  The dirty re-copy at the switch is not throttled.
   double rate = 0.0;
-  /// QoS job every rebuild request is charged against (register a batch-tier
-  /// job and fair-share holds the rebuild below foreground tenants).
+  /// QoS job every rebuild request (copy and dirty re-copy) is charged
+  /// against, under an infinite deadline (register a batch-tier job and
+  /// fair-share holds the rebuild below foreground tenants).
   common::JobId job = common::kDefaultJob;
   /// Client page cache over the original file (borrowed; may be null).  The
   /// switch runs the migration protocol against it: prepare_migration
@@ -70,8 +74,9 @@ struct RebuildOptions {
   /// "planned", "created", "copying", "copied-task-<i>", "copied",
   /// "switched-task-<i>", "switched".  Returning true aborts there, leaving
   /// exactly the journal state a real crash would; a fresh Rebuilder over
-  /// the same journal path resume()s to completion.
-  std::function<bool(std::string_view)> crash_at;
+  /// the same journal path resume()s to completion, each task from its
+  /// journaled byte progress.
+  core::CrashHook crash_at;
 };
 
 struct RebuildReport {
@@ -121,7 +126,7 @@ class Rebuilder {
   bool done() const { return done_; }
   /// Pacing instant of the next chunk (copy front; step(now) is a no-op
   /// while now < next_issue()).
-  common::Seconds next_issue() const { return next_issue_; }
+  common::Seconds next_issue() const { return pump_.next_issue(); }
   const RebuildReport& report() const { return report_; }
 
  private:
@@ -138,18 +143,18 @@ class Rebuilder {
     common::FileId dest = common::kInvalidFileId;
   };
 
+  /// Creates (or, resumed, opens) each task's destination and queues its
+  /// copy on pump_.
   common::Status create_dests();
-  common::Status copy_pump(common::Seconds now, bool unbounded);
+  /// Restarts pump_ at `now` with no tasks (create_dests() queues them).
+  void start_pump(common::Seconds now);
+  /// Pumps chunks issued by `horizon`; once every task is copied, runs the
+  /// switch at max(now, copy end).
+  common::Status copy_pump(common::Seconds now, common::Seconds horizon);
   common::Status finish(common::Seconds now);
-  common::Status copy_range(common::FileId source, common::FileId dest,
-                            common::Offset offset, common::ByteCount length,
-                            common::Seconds& issue);
   /// Surviving SServer for a fresh replica/fallback stripe: lowest index not
   /// dead and (when possible) not already holding primary stripes of `avoid`.
   common::Result<std::size_t> pick_sserver(const std::vector<common::ByteCount>& avoid);
-  bool crash(std::string_view point) const {
-    return options_.crash_at && options_.crash_at(point);
-  }
 
   pfs::HybridPfs& pfs_;
   core::Redirector& redirector_;
@@ -161,11 +166,8 @@ class Rebuilder {
   RebuildReport report_;
   bool planned_ = false;
   bool done_ = false;
-  std::size_t task_index_ = 0;
-  bool task_entered_ = false;
-  common::ByteCount task_pos_ = 0;
-  common::Seconds next_issue_ = 0.0;
-  std::vector<std::uint8_t> buffer_;
+  /// The throttled copy of tasks_ (task i is journal entry i).
+  core::Mover pump_;
 };
 
 }  // namespace mha::repair
