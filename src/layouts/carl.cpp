@@ -96,9 +96,7 @@ class CarlScheme final : public LayoutScheme {
       const std::string region_name = trace.file_name + ".carl.r" + std::to_string(r);
       auto file = pfs.create_file(region_name, std::move(layout).take());
       if (!file.is_ok()) return file.status();
-      MHA_RETURN_IF_ERROR(populate_file(pfs, *file, 0));  // no-op; sizes via DRT
-      pfs.mds().extend(*file, length);
-      MHA_RETURN_IF_ERROR(copy_region(pfs, start, length, *file));
+      MHA_RETURN_IF_ERROR(populate_file(pfs, *file, length, start));
       MHA_RETURN_IF_ERROR(drt.insert(core::DrtEntry{start, length, region_name, 0}));
     }
 
@@ -116,26 +114,6 @@ class CarlScheme final : public LayoutScheme {
   }
 
  private:
-  /// Seeds a region file with the original bytes (byte-storing mode only).
-  static common::Status copy_region(pfs::HybridPfs& pfs, common::Offset start,
-                                    common::ByteCount length, common::FileId file) {
-    if (!pfs.stores_data()) {
-      return common::Status::ok();
-    }
-    constexpr common::ByteCount kChunk = 8 * 1024 * 1024;
-    std::vector<std::uint8_t> buffer;
-    common::Seconds clock = 0.0;
-    for (common::Offset pos = 0; pos < length; pos += kChunk) {
-      const common::ByteCount piece = std::min<common::ByteCount>(kChunk, length - pos);
-      buffer.resize(piece);
-      populate_fill(start + pos, buffer.data(), piece);
-      auto w = pfs.write(file, pos, buffer.data(), piece, clock);
-      if (!w.is_ok()) return w.status();
-      clock = w->completion;
-    }
-    return common::Status::ok();
-  }
-
   std::size_t region_count_;
   double ssd_traffic_share_;
 };

@@ -85,7 +85,7 @@ class HarlScheme final : public LayoutScheme {
       const std::string region_name = trace.file_name + ".harl.r" + std::to_string(r);
       auto file = pfs.create_file(region_name, std::move(layout).take());
       if (!file.is_ok()) return file.status();
-      MHA_RETURN_IF_ERROR(populate_region(pfs, *file, start, length));
+      MHA_RETURN_IF_ERROR(populate_file(pfs, *file, length, start));
       MHA_RETURN_IF_ERROR(drt.insert(core::DrtEntry{start, length, region_name, 0}));
     }
 
@@ -103,30 +103,6 @@ class HarlScheme final : public LayoutScheme {
   }
 
  private:
-  /// Fills a region file with the bytes the original holds at [start,
-  /// start+length) so integrity checks see reordering-free equivalence.
-  static common::Status populate_region(pfs::HybridPfs& pfs, common::FileId file,
-                                        common::Offset start, common::ByteCount length) {
-    if (!pfs.stores_data()) {
-      pfs.mds().extend(file, length);
-      return common::Status::ok();
-    }
-    constexpr common::ByteCount kChunk = 8 * 1024 * 1024;
-    std::vector<std::uint8_t> buffer;
-    common::Seconds clock = 0.0;
-    common::Offset pos = 0;
-    while (pos < length) {
-      const common::ByteCount piece = std::min<common::ByteCount>(kChunk, length - pos);
-      buffer.resize(piece);
-      populate_fill(start + pos, buffer.data(), piece);
-      auto w = pfs.write(file, pos, buffer.data(), piece, clock);
-      if (!w.is_ok()) return w.status();
-      clock = w->completion;
-      pos += piece;
-    }
-    return common::Status::ok();
-  }
-
   std::size_t region_count_;
 };
 

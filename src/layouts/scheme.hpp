@@ -50,10 +50,12 @@ class LayoutScheme {
 };
 
 /// Writes deterministic bytes over [0, length) of `file` on a dedicated
-/// off-line timeline (used by every scheme to seed read replays).
+/// off-line timeline (used by every scheme to seed read replays): the bytes
+/// populate_byte gives for logical offsets [start, start+length), so a
+/// region file seeded with `start` = its logical origin holds the original
+/// file's bytes.  A timing-only PFS just records the size.
 common::Status populate_file(pfs::HybridPfs& pfs, common::FileId file,
-                             common::ByteCount length,
-                             common::ByteCount chunk = 8 * 1024 * 1024);
+                             common::ByteCount length, common::Offset start = 0);
 
 /// The byte any populated file holds at `offset` (for integrity checks).
 inline std::uint8_t populate_byte(common::Offset offset) {
