@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -39,14 +40,20 @@ struct ComboSpec {
   bool use_jobs = false;
 };
 
+/// Prints a combo by value (`MHA ior hedged-read guard`). gtest's fallback
+/// printer dumps a struct's raw bytes, and the string pointers made those
+/// bytes, and so each listed test name, differ between builds.
+void PrintTo(const ComboSpec& c, std::ostream* os) {
+  *os << c.scheme << ' ' << c.workload << ' '
+      << (c.use_scheduler ? to_string(c.scheduler) : "direct");
+  if (c.use_guard) *os << " guard";
+  if (c.use_jobs) *os << " jobs";
+}
+
 std::string combo_name(const ::testing::TestParamInfo<ComboSpec>& info) {
-  const ComboSpec& c = info.param;
-  std::string name = std::string(c.scheme) + "_" + c.workload;
-  name += c.use_scheduler ? std::string("_") + to_string(c.scheduler) : "_direct";
-  if (c.use_guard) name += "_guard";
-  if (c.use_jobs) name += "_jobs";
+  std::string name = ::testing::PrintToString(info.param);
   for (char& ch : name) {
-    if (ch == '-') ch = '_';
+    if (ch == ' ' || ch == '-') ch = '_';
   }
   return name;
 }
