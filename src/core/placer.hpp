@@ -10,8 +10,6 @@
 // windows (the caller resets stats afterwards).
 #pragma once
 
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "common/result.hpp"

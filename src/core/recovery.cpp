@@ -84,7 +84,7 @@ common::Result<RecoveryReport> recover_migration(pfs::HybridPfs& pfs,
   if (phase == fault::JournalPhase::kCopying || phase == fault::JournalPhase::kCopied) {
     // Roll forward: the plan is fully journaled, copies original -> region
     // are idempotent, and each entry resumes from its journaled byte
-    // progress, so the re-work is at most one chunk per entry in flight.
+    // progress, so at most the chunk in flight at the crash is re-copied.
     auto original = pfs.open(journal.o_file());
     if (!original.is_ok()) return original.status();
     for (const fault::JournalRegion& region : journal.regions()) {

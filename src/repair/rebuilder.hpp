@@ -101,6 +101,10 @@ class Rebuilder {
   /// names the MigrationJournal KV file ("" = unjournaled, tests only).
   Rebuilder(pfs::HybridPfs& pfs, core::Redirector& redirector, Membership& membership,
             std::string journal_path, RebuildOptions options = {});
+  // pump_ points at journal_, so a copy or move would point at another
+  // object's journal.
+  Rebuilder(const Rebuilder&) = delete;
+  Rebuilder& operator=(const Rebuilder&) = delete;
 
   /// Enumerates orphaned regions/replicas under the current membership view,
   /// journals the plan and creates the destination files.  Fails if the

@@ -176,12 +176,6 @@ class CopyPaths : public ::testing::Test {
     pfs_->reset_clocks();
   }
 
-  /// Region r's stripe pair.
-  static std::vector<core::StripePair> Pairs() {
-    return {core::StripePair{16_KiB, 48_KiB}, core::StripePair{16_KiB, 48_KiB},
-            core::StripePair{0, 32_KiB}};
-  }
-
   /// Journaled, replicating placement with a 1.5 MiB chunk, aborted at
   /// `crash_site` when one is given.
   common::Result<core::PlacementReport> Place(const std::string& crash_site = {}) {
@@ -192,7 +186,10 @@ class CopyPaths : public ::testing::Test {
     options.journal = &journal;
     options.replicate_hot = true;
     options.crash_at = [crash_site](std::string_view point) { return point == crash_site; };
-    return core::Placer::apply(*pfs_, plan_, Pairs(), options);
+    return core::Placer::apply(*pfs_, plan_,
+                               {core::StripePair{16_KiB, 48_KiB},
+                                core::StripePair{16_KiB, 48_KiB}, core::StripePair{0, 32_KiB}},
+                               options);
   }
 
   core::RecoveryReport Recover() {
@@ -405,49 +402,6 @@ TEST(CopyPathsOnline, FoldBackTimeline) {
 }
 
 // --------------------------------------------------------------- resume ---
-
-/// A placement that crashed halfway through entry 0 (64 KiB): the journal
-/// is at kCopying with 32 KiB of that entry stamped, and r0 holds those
-/// bytes.  Recovery copies only the entry's last 32 KiB plus the entries
-/// not started, and every region range ends up holding its origin bytes.
-TEST_F(CopyPaths, RecoveryResumesAnEntryMidway) {
-  {
-    fault::MigrationJournal journal;
-    ASSERT_TRUE(journal.open(journal_path_).is_ok());
-    std::vector<fault::JournalRegion> regions;
-    std::vector<pfs::StripeLayout> layouts;
-    for (std::size_t g = 0; g < plan_.regions.size(); ++g) {
-      auto layout = pfs::StripeLayout::stripe_pair(pfs_->num_hservers(), pfs_->num_sservers(),
-                                                   Pairs()[g].h, Pairs()[g].s);
-      ASSERT_TRUE(layout.is_ok());
-      regions.push_back(fault::JournalRegion{plan_.regions[g].name, layout->widths()});
-      layouts.push_back(std::move(layout).take());
-    }
-    ASSERT_TRUE(journal
-                    .begin("orig", std::move(regions),
-                           core::journal_entries(plan_.drt.entries()))
-                    .is_ok());
-    ASSERT_TRUE(journal.set_phase(fault::JournalPhase::kCopying).is_ok());
-    ASSERT_TRUE(journal.set_copy_progress(0, 32_KiB).is_ok());
-
-    // What the journal claims: entry 0's first half is in r0 (at 128 KiB).
-    auto r0 = pfs_->create_file("orig.mha.r0", layouts[0]);
-    ASSERT_TRUE(r0.is_ok());
-    ASSERT_TRUE(pfs_->write(*r0, 128_KiB, pattern(0, 32_KiB), 0.0).is_ok());
-  }
-  Quiesce();
-
-  const core::RecoveryReport report = Recover();
-  EXPECT_EQ(report.action, core::RecoveryAction::kRolledForward);
-  constexpr common::ByteCount kRest = 32_KiB + 64_KiB + 64_KiB + 64_KiB + 5_MiB;
-  EXPECT_EQ(report.bytes_copied, kRest);
-  common::ByteCount written = 0;
-  for (std::size_t s = 0; s < pfs_->num_servers(); ++s) {
-    written += pfs_->server_stats(s).bytes_written;
-  }
-  EXPECT_EQ(written, kRest);
-  ExpectRegionsHoldOrigin(report.drt);
-}
 
 /// A rebuild dropped after one throttled step resumes from the journaled
 /// progress of its first task: the fresh rebuilder copies the rest only.

@@ -596,6 +596,42 @@ TEST_F(MigrationCrashTest, CrashBetweenEntriesResumesFromProgress) {
   verify_migrated(report.drt);
 }
 
+// A crash halfway through entry 0 (64 KiB): the journal at kCopying stamps
+// 32 KiB of it, and the region holds those bytes.  Recovery copies only the
+// entry's last 32 KiB plus entry 1, and the migrated file verifies.
+TEST_F(MigrationCrashTest, RecoveryResumesAnEntryMidway) {
+  auto layout = pfs::StripeLayout::stripe_pair(2, 1, 16_KiB, 48_KiB);
+  ASSERT_TRUE(layout.is_ok());
+  {
+    fault::MigrationJournal journal;
+    ASSERT_TRUE(journal.open(journal_path_).is_ok());
+    ASSERT_TRUE(journal
+                    .begin("orig", {fault::JournalRegion{"orig.mha.r0", layout->widths()}},
+                           core::journal_entries(plan_.drt.entries()))
+                    .is_ok());
+    ASSERT_TRUE(journal.set_phase(fault::JournalPhase::kCopying).is_ok());
+    ASSERT_TRUE(journal.set_copy_progress(0, 32_KiB).is_ok());
+  }
+  auto region = pfs_->create_file("orig.mha.r0", *layout);
+  ASSERT_TRUE(region.is_ok());
+  ASSERT_TRUE(pfs_->write(*region, 64_KiB, pattern(0, 32_KiB), 0.0).is_ok());
+  pfs_->reset_stats();
+
+  fault::MigrationJournal journal;
+  ASSERT_TRUE(journal.open(journal_path_).is_ok());
+  auto report = core::recover_migration(*pfs_, journal);
+  ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+  EXPECT_EQ(report->action, core::RecoveryAction::kRolledForward);
+  EXPECT_EQ(report->bytes_copied, 32_KiB + 64_KiB);
+  common::ByteCount written = 0;
+  for (std::size_t s = 0; s < pfs_->num_servers(); ++s) {
+    written += pfs_->server_stats(s).bytes_written;
+  }
+  EXPECT_EQ(written, 32_KiB + 64_KiB);
+  ASSERT_TRUE(report->has_drt);
+  verify_migrated(report->drt);
+}
+
 TEST_F(MigrationCrashTest, CrashAfterCopyOrCommitCompletes) {
   for (const std::string point : {"copied", "committed"}) {
     SCOPED_TRACE(point);
