@@ -9,8 +9,10 @@
 //   kPlanned        - plan serialised (regions + layouts + every DRT entry);
 //                     nothing touched on the PFS yet
 //   kRegionsCreated - region files exist (possibly only some, on a crash)
-//   kCopying        - data copy in flight; per-entry progress records say
-//                     which DRT entries are fully copied
+//   kCopying        - data copy in flight; entry i's progress record is the
+//                     bytes of it copied so far (core::Mover stamps it after
+//                     every chunk; length == done), and recovery resumes the
+//                     entry from there
 //   kCopied         - every byte copied; DRT/RST not yet authoritative
 //   kCommitted      - the atomic switch point: the journaled DRT/RST are now
 //                     the truth and the redirector may serve from regions
@@ -19,8 +21,8 @@
 //
 // Recovery invariants (enforced by core::recover_migration):
 //   * before kCopying  -> roll BACK (original file untouched; drop regions)
-//   * kCopying/kCopied -> roll FORWARD (re-copy unfinished entries; entries
-//                         are idempotent copies original -> region)
+//   * kCopying/kCopied -> roll FORWARD (copy each entry from its progress
+//                         on; copies original -> region are idempotent)
 //   * kCommitted       -> migration is complete; rebuild the redirector
 //   * kFoldback        -> re-run the fold-back (idempotent region ->
 //                         original copies), then drop regions
@@ -98,7 +100,7 @@ class MigrationJournal {
   common::Status set_phase(JournalPhase phase);
   JournalPhase phase() const { return phase_; }
 
-  /// Marks entry `index` as copied through `bytes` (full length == done).
+  /// Marks the first `bytes` of entry `index` as copied (full length == done).
   common::Status set_copy_progress(std::size_t index, common::ByteCount bytes);
   common::ByteCount copy_progress(std::size_t index) const;
 
